@@ -5,8 +5,12 @@ root — the document a reviewer reads next to the paper — and asserts
 that every section passes its claim checks.  A second bench drives
 the exact solver across problem sizes with telemetry on and writes
 ``benchmarks/results/BENCH_solver.json``: the machine-readable record
-(waterfill iterations, bracket expansions, wall time vs N) that CI
-and regression tooling can diff without parsing prose.
+(outer iterations, full inversion passes, wall time vs N) that CI and
+``repro obs diff`` compare without parsing prose.  Its pass-count
+bound is deterministic, so CI gates on it; wall times are recorded
+only.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_report.py -k solver
 """
 
 from __future__ import annotations
@@ -23,7 +27,10 @@ from repro.workloads.presets import ExperimentSetup, build_catalog
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-SOLVER_SIZES = (1_000, 10_000, 100_000)
+SOLVER_SIZES = (1_000, 10_000, 100_000, 1_000_000)
+#: Most full inversion passes a cold exact solve may take on these
+#: catalogs (deterministic: the pass count depends on no clock).
+MAX_COLD_PASSES = 12
 
 
 def test_reproduction_report(benchmark):
@@ -53,9 +60,7 @@ def _solver_telemetry_row(n: int) -> dict:
         "solver_calls": int(registry.counters["solver.calls"]),
         "waterfill_iterations":
             int(registry.counters["waterfill.iterations"]),
-        "bracket_expansions":
-            int(registry.counters.get("waterfill.bracket_expansions",
-                                      0.0)),
+        "inner_passes": int(registry.counters["solver.inner_passes"]),
         "multiplier": solution.multiplier,
         "kkt_residual": registry.gauges["solver.kkt_residual"],
     }
@@ -70,10 +75,9 @@ def test_solver_telemetry_bench(benchmark):
         assert row["solver_calls"] == 1
         assert row["waterfill_iterations"] > 0
         assert row["solver_span_seconds"] <= row["wall_seconds"]
-    # Iteration counts are size-insensitive (bisection on μ): the
-    # whole point of the structured solver's scalability story.
-    iteration_spread = {row["waterfill_iterations"] for row in rows}
-    assert max(iteration_spread) <= 4 * min(iteration_spread)
+        # A cold solve is a handful of full passes at every size: the
+        # whole point of the structured solver's scalability story.
+        assert row["inner_passes"] <= MAX_COLD_PASSES, row
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {"benchmark": "solver_telemetry", "rows": rows}
     (RESULTS_DIR / "BENCH_solver.json").write_text(

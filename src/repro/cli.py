@@ -584,11 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="evaluate staleness at this simulated-clock "
                      "time (default: the ledger's latest event)")
     diff_sub = obs_actions.add_parser(
-        "diff", help="diff two tapes or two BENCH_sim.json files; "
-                     "exit 1 on regression")
+        "diff", help="diff two tapes or two BENCH_sim.json / "
+                     "BENCH_solver.json files; exit 1 on regression")
     diff_sub.add_argument("baseline",
-                          help="reference artifact (JSONL tape or "
-                               "BENCH_sim.json)")
+                          help="reference artifact (JSONL tape, "
+                               "BENCH_sim.json or BENCH_solver.json)")
     diff_sub.add_argument("candidate",
                           help="artifact under test (same format)")
     diff_sub.add_argument("--threshold", type=float, default=0.1,

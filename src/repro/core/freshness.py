@@ -44,6 +44,16 @@ __all__ = [
 #: by series expansions to avoid catastrophic cancellation.
 _SERIES_CUTOFF = 1e-4
 
+#: Below this ``r`` the inversion evaluates ``log1p(r) − r`` by its
+#: Taylor series (coefficients of r⁹ … r², Horner order).
+_LOG1P_SERIES_CUTOFF = 1e-2
+_LOG1P_SERIES = (1.0 / 9.0, -1.0 / 8.0, 1.0 / 7.0, -1.0 / 6.0, 1.0 / 5.0,
+                 -1.0 / 4.0, 1.0 / 3.0, -1.0 / 2.0)
+
+#: Halley steps of the marginal inversion.  Three already reach double
+#: precision from the initial guesses; the fourth is margin.
+_HALLEY_STEPS = 4
+
 
 def fixed_order_freshness(change_rates: np.ndarray,
                           frequencies: np.ndarray) -> np.ndarray:
@@ -107,19 +117,37 @@ def marginal_gain(staleness_ratio: np.ndarray) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def invert_marginal_gain(targets: np.ndarray, *, tol: float = 1e-13,
-                         max_newton: int = 60) -> np.ndarray:
+def _log1p_minus_identity(r: np.ndarray) -> np.ndarray:
+    """``log1p(r) − r``, with a series where the difference cancels."""
+    out = np.log1p(r)
+    out -= r
+    small = r < _LOG1P_SERIES_CUTOFF
+    if small.any():
+        rs = r[small]
+        # −r²/2 + r³/3 − … + r⁹/9; the first dropped term is below
+        # 2·10⁻¹⁷ of the sum under the cutoff.
+        series = np.full_like(rs, _LOG1P_SERIES[0])
+        for coefficient in _LOG1P_SERIES[1:]:
+            series *= rs
+            series += coefficient
+        series *= rs
+        series *= rs
+        out[small] = series
+    return out
+
+
+def invert_marginal_gain(targets: np.ndarray) -> np.ndarray:
     """Solve ``g(r) = t`` for ``r``, vectorized.
 
-    Uses safeguarded Newton iterations (``g'(r) = r·e^(−r)``) with a
-    maintained bisection bracket, so convergence is guaranteed for any
-    ``t ∈ (0, 1)``.
+    ``g(r) = t`` is ``h(r) = log1p(r) − r − log1p(−t) = 0``, which is
+    smooth and well scaled at both ends of ``(0, 1)``.  From the
+    asymptotic initial guesses a fixed :data:`_HALLEY_STEPS` Halley
+    steps (``h′ = −r/(1+r)``, ``h″ = −1/(1+r)²``) reach double
+    precision everywhere, so there is no convergence test and no
+    per-element branching.
 
     Args:
         targets: Values ``t`` with ``0 < t < 1`` element-wise.
-        tol: Absolute tolerance on ``g(r) − t``.
-        max_newton: Iteration cap (bisection progress makes the method
-            converge long before a sane cap).
 
     Returns:
         The staleness ratios ``r`` with ``g(r) = t``.
@@ -129,43 +157,33 @@ def invert_marginal_gain(targets: np.ndarray, *, tol: float = 1e-13,
     """
     t = np.asarray(targets, dtype=float)
     scalar = t.ndim == 0
-    t = np.atleast_1d(t).copy()
+    t = np.atleast_1d(t)
     if ((t <= 0.0) | (t >= 1.0)).any():
         raise ValidationError("marginal targets must lie strictly in (0, 1)")
 
     # Initial guess: small-t series g ≈ r²/2 ⇒ r ≈ √(2t); large-t
     # asymptotic (1+r)e^(−r) = 1−t ⇒ r ≈ −ln(1−t) + ln(1+r), iterated
     # once from r₀ = −ln(1−t).
-    guess_small = np.sqrt(2.0 * t)
-    with np.errstate(divide="ignore"):
-        base = -np.log1p(-t)
-    guess_large = base + np.log1p(np.maximum(base, 0.0))
-    r = np.where(t < 0.5, guess_small, np.maximum(guess_large, guess_small))
+    r = np.sqrt(2.0 * t)
+    base = -np.log1p(-t)
+    large = t >= 0.5
+    if large.any():
+        b = base[large]
+        r[large] = np.maximum(b + np.log1p(b), r[large])
 
-    # Bracket: g is increasing; expand hi until g(hi) >= t everywhere.
-    lo = np.zeros_like(t)
-    hi = np.maximum(2.0 * r, 1.0)
-    for _ in range(200):
-        too_low = marginal_gain(hi) < t
-        if not too_low.any():
-            break
-        hi[too_low] *= 2.0
-
-    r = np.clip(r, lo + 1e-300, hi)
-    for _ in range(max_newton):
-        g_r = marginal_gain(r)
-        residual = g_r - t
-        if (np.abs(residual) <= tol).all():
-            break
-        above = residual > 0.0
-        hi = np.where(above, r, hi)
-        lo = np.where(above, lo, r)
-        slope = r * np.exp(-r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = residual / slope
-        newton = r - step
-        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
-        r = np.where(inside, newton, 0.5 * (lo + hi))
+    for _ in range(_HALLEY_STEPS):
+        # Halley: r ← r − 2hh′/(2h′² − hh″), which for this h reduces
+        # to r + 2rh(1+r)/(2r² + h); the denominator stays ≥ 1.5r².
+        h = _log1p_minus_identity(r)
+        h += base
+        step = h * r
+        step *= 1.0 + r
+        step *= 2.0
+        denominator = r * r
+        denominator *= 2.0
+        denominator += h
+        step /= denominator
+        r += step
     return float(r[0]) if scalar else r
 
 
@@ -191,15 +209,32 @@ class FreshnessModel(ABC):
         """
 
     @abstractmethod
-    def frequency_for_marginal(self, change_rates: np.ndarray,
-                               marginals: np.ndarray) -> np.ndarray:
-        """Invert the marginal: the ``f`` with ``∂F̄/∂f = m``.
+    def invert_marginal(self, change_rates: np.ndarray,
+                        marginals: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Invert the marginal, with the inverse's log-slope.
+
+        Returns ``(f, s)``: the frequencies ``f`` with ``∂F̄/∂f = m``
+        and ``s = m·∂f/∂m``, the change in ``f`` per unit change of
+        ``ln m`` (negative).  A water-filling solver prices element
+        ``i`` at ``mᵢ ∝ μ``, so ``Σ cᵢsᵢ`` is ``μ·d(Σcᵢfᵢ)/dμ`` — the
+        slope its outer Newton search on ``μ`` needs.
 
         ``change_rates`` are in changes per period and the returned
         frequencies in syncs per period.  Only defined for ``0 < m <
         ∂F̄/∂f|_{f→0⁺}``; the water-filling solver guarantees this
         precondition.
         """
+
+    def frequency_for_marginal(self, change_rates: np.ndarray,
+                               marginals: np.ndarray) -> np.ndarray:
+        """Invert the marginal: the ``f`` with ``∂F̄/∂f = m``.
+
+        ``change_rates`` are in changes per period and the returned
+        frequencies in syncs per period; see :meth:`invert_marginal`
+        for the domain.
+        """
+        return self.invert_marginal(change_rates, marginals)[0]
 
 
 class FixedOrderPolicy(FreshnessModel):
@@ -227,8 +262,9 @@ class FixedOrderPolicy(FreshnessModel):
         out[unsynced] = 1.0 / lam[unsynced]
         return out if out.ndim else float(out)
 
-    def frequency_for_marginal(self, change_rates: np.ndarray,
-                               marginals: np.ndarray) -> np.ndarray:
+    def invert_marginal(self, change_rates: np.ndarray,
+                        marginals: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
         lam = np.asarray(change_rates, dtype=float)
         m = np.asarray(marginals, dtype=float)
         lam, m = np.broadcast_arrays(lam, m)
@@ -239,7 +275,16 @@ class FixedOrderPolicy(FreshnessModel):
         # the solver's threshold handling absorbs).
         targets = np.minimum(m * lam, np.nextafter(1.0, 0.0))
         ratios = invert_marginal_gain(targets)
-        return lam / ratios
+        frequencies = lam / ratios
+        # f = λ/r with g(r) = t = mλ, so m·∂f/∂m = t·∂f/∂t =
+        # −(λ/r²)·t/g′(r), g′(r) = r·e^(−r); on the root e^r =
+        # (1+r)/(1−t), hence −f·t(1+r)/(r²(1−t)) — no exp needed.
+        slopes = targets / ratios
+        slopes /= ratios
+        slopes *= 1.0 + ratios
+        slopes /= 1.0 - targets
+        slopes *= -frequencies
+        return frequencies, slopes
 
 
 class PoissonSyncPolicy(FreshnessModel):
@@ -272,11 +317,17 @@ class PoissonSyncPolicy(FreshnessModel):
         out[live] = lam[live] / (f[live] + lam[live]) ** 2
         return out if out.ndim else float(out)
 
-    def frequency_for_marginal(self, change_rates: np.ndarray,
-                               marginals: np.ndarray) -> np.ndarray:
+    def invert_marginal(self, change_rates: np.ndarray,
+                        marginals: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
         lam = np.asarray(change_rates, dtype=float)
         m = np.asarray(marginals, dtype=float)
         lam, m = np.broadcast_arrays(lam, m)
-        # λ/(f+λ)² = m  ⇒  f = √(λ/m) − λ; clamp the rounding band
-        # where m ≥ 1/λ would yield an epsilon-negative frequency.
-        return np.maximum(np.sqrt(lam / m) - lam, 0.0)
+        # λ/(f+λ)² = m  ⇒  f = √(λ/m) − λ, so m·∂f/∂m = −½√(λ/m);
+        # clamp the rounding band where m ≥ 1/λ would yield an
+        # epsilon-negative frequency (its slope is then 0).
+        root = np.sqrt(lam / m)
+        frequencies = root - lam
+        positive = frequencies > 0.0
+        return (np.where(positive, frequencies, 0.0),
+                np.where(positive, -0.5 * root, 0.0))

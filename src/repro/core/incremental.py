@@ -9,7 +9,7 @@ added.  The KKT multiplier μ moves correspondingly little.
 
 :class:`IncrementalSolver` exploits that: it remembers the last μ and
 hands the exact solver a narrow bracket around it, skipping the cold
-geometric bracketing phase; when the warm bracket misses (the problem
+start of the search; when the warm bracket misses (the problem
 jumped), it falls back to a cold solve.  Warm and cold paths share
 the identical allocation code (including threshold-degeneracy
 handling), so the solutions agree to solver tolerance — asserted by

@@ -18,15 +18,22 @@ single multiplier μ with
 
 The paper solved this with a generic NLP package and reports it
 intractable beyond ~10³ elements; this module instead exploits the
-separable structure — an exact water-filling bisection on μ with a
-vectorized per-element marginal inversion — and solves 500 000-element
-instances in well under a second.  It is used both directly (the
-"best_case"/ideal curves) and as the optimization step of every
-heuristic.
+separable structure.  Live elements are sorted once by activation
+ceiling, so the active set at any μ is a prefix; each pass inverts
+that prefix in closed form (a fixed four-step Halley iteration, see
+:func:`repro.core.freshness.invert_marginal_gain`) and returns the
+analytic slope of the total cost, and the water-filling search takes
+Newton steps on μ.  Tie groups of identical ceilings — the norm for
+learned profiles — get an exact local model of their own.  A cold
+solve typically takes 5–9 passes: ~0.1–0.2 s at 10⁵ elements and
+~1.4 s at 10⁶ on one core of a 2-core x86 host.  The solver is used
+both directly (the "best_case"/ideal curves) and as the optimization
+step of every heuristic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -41,7 +48,7 @@ from repro.contracts import (
 )
 from repro.core.freshness import FixedOrderPolicy, FreshnessModel
 from repro.errors import InfeasibleProblemError, ValidationError
-from repro.numerics.waterfill import waterfill
+from repro.numerics.waterfill import Allocation, waterfill
 from repro.obs import registry as obs
 from repro.workloads.catalog import Catalog
 
@@ -49,6 +56,12 @@ __all__ = ["ScheduleSolution", "solve_core_problem", "solve_weighted_problem",
            "kkt_residual"]
 
 _DEFAULT_MODEL = FixedOrderPolicy()
+
+#: A last active tie group carrying at least this share of a pass's
+#: slope gets the group-exact local model (see :func:`_group_proposal`).
+_GROUP_SHARE = 0.05
+#: Newton steps on that scalar model.
+_GROUP_NEWTON_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class ScheduleSolution:
             problem was degenerate and nothing was allocated).
         bandwidth: Total bandwidth consumed, ``Σ cᵢ·fᵢ``.
         objective: Objective value ``Σ wᵢ·F̄(λᵢ, fᵢ)``.
-        iterations: Outer bisection iterations used.
+        iterations: Outer search steps used on μ.
     """
 
     frequencies: np.ndarray
@@ -201,35 +214,71 @@ def _solve_weighted(weights: np.ndarray, change_rates: np.ndarray,
                                 bandwidth=0.0, objective=objective,
                                 iterations=0)
 
-    w = weights[live]
-    lam = change_rates[live]
-    c = costs[live]
-
     # Marginal objective per unit *bandwidth* at f→0⁺ is
-    # (w/c)·∂F̄/∂f(λ, 0⁺); μ above the max of these allocates nothing.
-    zero_marginals = chosen.derivative(lam, np.zeros_like(lam))
-    ceilings = w * zero_marginals / c
-    mu_max = float(ceilings.max())
+    # (w/c)·∂F̄/∂f(λ, 0⁺); an element is active at μ below this
+    # ceiling.  Sorted by ceiling, highest first, the active set at
+    # any μ is a prefix, so each pass slices instead of gathering.
+    live_index = np.flatnonzero(live)
+    w = weights[live_index]
+    lam = change_rates[live_index]
+    c = costs[live_index]
+    ceilings = w * chosen.derivative(lam, np.zeros_like(lam)) / c
+    order = np.argsort(-ceilings, kind="stable")
+    live_index = live_index[order]
+    ceilings = ceilings[order]
+    lam = lam[order]
+    c = c[order]
+    price = c / w[order]  # marginal target per unit of μ
+    negated_ceilings = -ceilings  # ascending, for searchsorted
+    mu_max = float(ceilings[0])
+    passes = 0
 
-    def allocate_at(mu: float) -> tuple[np.ndarray, float]:
-        active = ceilings > mu
-        freqs = np.zeros_like(w)
-        if active.any():
-            marginal_targets = mu * c[active] / w[active]
-            freqs[active] = chosen.frequency_for_marginal(lam[active],
-                                                          marginal_targets)
-        return freqs, float(c @ freqs)
+    def allocate_at(mu: float) -> Allocation:
+        nonlocal passes
+        passes += 1
+        active = int(np.searchsorted(negated_ceilings, -mu, side="left"))
+        freqs = np.zeros_like(c)
+        if not active:
+            return Allocation(freqs, 0.0, 0.0)
+        freqs[:active], slopes = chosen.invert_marginal(
+            lam[:active], mu * price[:active])
+        head = c[:active]
+        cost = float(head @ freqs[:active])
+        # Each target scales with μ, so d(Σcf)/dμ = Σ c·(m ∂f/∂m)/μ.
+        weighted = head * slopes
+        slope = float(weighted.sum())
+        # The last active tie group sits closest to its ceiling, where
+        # its frequency is steepest in μ.  When it carries a fair share
+        # of the slope, propose the root of a local model that keeps
+        # the group exact instead of the power-law Newton step.
+        lowest = float(ceilings[active - 1])
+        group = int(np.searchsorted(negated_ceilings, -lowest,
+                                    side="left"))
+        group_slope = float(weighted[group:].sum())
+        proposal: float | None = None
+        if slope < 0.0 and group_slope <= _GROUP_SHARE * slope:
+            proposal = _group_proposal(
+                chosen, mu, cost, slope, lowest, bandwidth,
+                scale=float(head[group:] @ lam[group:active]),
+                group_cost=float(head[group:] @ freqs[group:active]),
+                group_slope=group_slope)
+        return Allocation(freqs, cost, slope / mu, proposal)
 
+    # Start where the small-target asymptote f ≈ K·√(λ/m) of every
+    # element (K read off the model) would spend the budget.
+    unit, _ = chosen.invert_marginal(np.ones(1), np.full(1, 1e-12))
+    scale = float(unit[0]) * 1e-6 * float(c @ np.sqrt(lam / price))
     result = waterfill(allocate_at, bandwidth, mu_max,
                        budget_rtol=budget_rtol, snap=False,
-                       bracket=bracket)
+                       bracket=bracket, start=(scale / bandwidth) ** 2)
+    obs.counter_add("solver.inner_passes", passes)
     live_freqs = result.allocations.copy()
     mu = result.multiplier
     if mu > 0.0 and abs(result.cost - bandwidth) > budget_rtol * bandwidth:
         # Degenerate optimum: μ sits on an element's activation
         # ceiling, where the inverted frequency jumps (at float
         # resolution of the marginal kernel) between ~λ/40 and 0, so
-        # the bisection cannot meet the budget.  The KKT-correct
+        # the search cannot meet the budget.  The KKT-correct
         # resolution: elements *at* the ceiling absorb exactly the
         # leftover bandwidth — their marginal stays ≈ μ for any small
         # frequency.
@@ -245,13 +294,72 @@ def _solve_weighted(weights: np.ndarray, change_rates: np.ndarray,
     cost = float(c @ live_freqs)
     if cost > 0.0:
         live_freqs *= bandwidth / cost
-    frequencies[live] = live_freqs
+    frequencies[live_index] = live_freqs
     objective = float(weights @ chosen.freshness(change_rates, frequencies))
     return ScheduleSolution(frequencies=frequencies,
                             multiplier=result.multiplier,
                             bandwidth=float(costs @ frequencies),
                             objective=objective,
                             iterations=result.iterations)
+
+
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent`` for ``base > 0``, saturating instead of
+    overflowing."""
+    return math.exp(min(max(exponent * math.log(base), -700.0), 700.0))
+
+
+def _group_proposal(model: FreshnessModel, mu: float, cost: float,
+                    slope: float, ceiling: float, budget: float, *,
+                    scale: float, group_cost: float,
+                    group_slope: float) -> float:
+    """The μ′ solving ``P·(μ′/μ)^e + S·φ(μ′/ceiling) = budget``.
+
+    The local cost model of a pass at ``μ`` whose last active tie
+    group (ceiling ``ceiling``) sits near its threshold: the rest of
+    the cost ``P`` as a power law with its measured elasticity ``e``,
+    plus the group exactly.  Every group element has the same
+    normalized frequency ``φ = f/λ`` — a function of ``t = μ/ceiling``
+    alone — so the group costs ``S·φ`` with ``S = Σ cλ``.  Newton runs
+    on ``φ``, in which that term is linear; ``t(φ)`` is the model's
+    marginal at λ = 1 (``F̄`` depends on ``f/λ`` only).  When the
+    group drops out before the budget is met, the rest alone continues
+    past ``ceiling``; when even that is under budget, the root is the
+    group's activation jump, and the proposal is the last float below
+    ``ceiling``.
+
+    ``slope`` and ``group_slope`` are ``d cost/d ln μ`` of the whole
+    pass and of the group.
+    """
+    rest = cost - group_cost
+    elasticity = (slope - group_slope) / rest if rest > 0.0 else 0.0
+    phi = group_cost / scale
+    phi_slope = group_slope / scale  # dφ/d ln t
+    edge = math.nextafter(ceiling, 0.0)  # the last μ the group is on at
+    proposal = mu
+    for _ in range(_GROUP_NEWTON_STEPS):
+        rest_now = rest * _power(proposal / mu, elasticity)
+        residual = rest_now + scale * phi - budget
+        growth = elasticity * rest_now + scale * phi_slope  # dF/d ln t
+        if not growth < 0.0:
+            break
+        phi -= residual * phi_slope / growth  # dF/dφ = growth/phi_slope
+        proposal = (ceiling * float(model.derivative(
+            np.ones(1), np.full(1, phi))[0]) if phi > 0.0 else ceiling)
+        if proposal >= edge:
+            # The group cannot absorb the excess while it is on.
+            # Past its ceiling only the rest is left, as a power law;
+            # if that alone is under budget there, the budget falls
+            # inside the group's activation jump, just below ceiling.
+            if rest > 0.0 and elasticity < 0.0:
+                beyond = mu * _power(budget / rest, 1.0 / elasticity)
+                if beyond > ceiling:
+                    return beyond
+            return edge
+        _, unit_slope = model.invert_marginal(np.ones(1),
+                                              np.full(1, proposal / ceiling))
+        phi_slope = float(unit_slope[0])
+    return proposal
 
 
 def _check_core_inputs(solution: "ScheduleSolution",

@@ -4,8 +4,7 @@ This subpackage replaces the proprietary IMSL numerical libraries the
 paper used.  It contains:
 
 * :mod:`repro.numerics.roots` — scalar root finding (bisection,
-  Newton with bisection fallback) used by the exact water-filling
-  solver.
+  Newton with bisection fallback).
 * :mod:`repro.numerics.optimize` — a generic projected-gradient solver
   for concave maximization under a single linear constraint.  This is
   the "black-box NLP package" stand-in whose superlinear cost in the
@@ -13,7 +12,8 @@ paper used.  It contains:
 * :mod:`repro.numerics.kmeans` — a seeded Lloyd's-algorithm k-means
   used by the cluster-refinement step (paper §4.1.3).
 * :mod:`repro.numerics.waterfill` — generic water-filling machinery
-  for separable concave resource allocation.
+  for separable concave resource allocation: a safeguarded Newton
+  search on the KKT multiplier.
 """
 
 from repro.numerics.kmeans import KMeansResult, kmeans, kmeans_iterate

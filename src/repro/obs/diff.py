@@ -1,8 +1,9 @@
 """``repro obs diff``: run-to-run regression view for CI gating.
 
-Compares two telemetry artifacts — either two JSONL tapes written by
-``--telemetry`` or two ``BENCH_sim.json`` files written by
-``benchmarks/bench_sim.py`` — as flat metric inventories, flags
+Compares two telemetry artifacts — two JSONL tapes written by
+``--telemetry``, two ``BENCH_sim.json`` files written by
+``benchmarks/bench_sim.py`` or two ``BENCH_solver.json`` files written
+by ``benchmarks/bench_report.py`` — as flat metric inventories, flags
 directional changes beyond a relative threshold, and drives a
 non-zero exit code so a perf-smoke job can gate on it.
 
@@ -39,6 +40,7 @@ _HIGHER_BETTER = (
 _LOWER_BETTER = (
     "ledger.max_staleness",
     "gauge.monitor.mean_time_age",
+    "inner_passes",
 )
 
 
@@ -73,8 +75,15 @@ def _direction(name: str) -> int:
 
 
 def _flatten_bench(data: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten a ``BENCH_sim.json`` document into metric names."""
+    """Flatten a ``BENCH_sim.json`` or ``BENCH_solver.json`` document."""
     flat: Dict[str, float] = {}
+    if data.get("benchmark") == "solver_telemetry":
+        for row in data.get("rows", []):
+            prefix = f"solver.n{row.get('n_elements')}"
+            for key, value in row.items():
+                if key != "n_elements" and isinstance(value, (int, float)):
+                    flat[f"{prefix}.{key}"] = float(value)
+        return flat
     for section in ("kernel", "faulted_kernel", "bursty_kernel",
                     "scaling", "streaming"):
         block = data.get(section)
@@ -107,7 +116,8 @@ def load_metrics(path: str | Path) -> Dict[str, float]:
     """Load one artifact as a flat ``name -> value`` inventory.
 
     A file whose whole body parses as a single JSON object is treated
-    as ``BENCH_sim.json``; anything else is read as a JSONL telemetry
+    as ``BENCH_sim.json`` (or ``BENCH_solver.json`` when it says so);
+    anything else is read as a JSONL telemetry
     tape (counters, gauges and a ledger summary — entry count, stale
     count and max staleness).
 

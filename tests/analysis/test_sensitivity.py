@@ -38,16 +38,15 @@ class TestBandwidthSensitivity:
         assert advantage[-1] < advantage.max()
         assert (advantage >= -1e-9).all()
 
-    def test_warm_start_reduces_bracket_expansions(self):
+    def test_warm_start_reduces_allocator_evaluations(self):
         """Adjacent sweep points share a warm μ bracket, so the sweep
-        must spend fewer cold geometric bracket expansions than
-        planning every point from scratch (the satellite claim)."""
+        must spend fewer allocator evaluations (full inversion passes)
+        than planning every point from scratch."""
         ratios = np.array([0.1, 0.15, 0.25, 0.4, 0.6, 1.0])
         with obs.telemetry() as registry:
             warm_sweep = sensitivity.bandwidth_sensitivity(
                 setup=TINY, ratios=ratios)
-        warm = registry.counters.get("waterfill.bracket_expansions",
-                                     0.0)
+        warm = registry.counters.get("waterfill.evaluations", 0.0)
         catalog = build_catalog(TINY, alignment=Alignment.SHUFFLED,
                                 seed=0)
         cold_pf = np.zeros_like(ratios)
@@ -59,8 +58,7 @@ class TestBandwidthSensitivity:
                     catalog, bandwidth).perceived_freshness
                 cold_gf[index] = GeneralFreshener().plan(
                     catalog, bandwidth).perceived_freshness
-        cold = registry.counters.get("waterfill.bracket_expansions",
-                                     0.0)
+        cold = registry.counters.get("waterfill.evaluations", 0.0)
         assert warm < cold
         # Warm starting is a speedup, not a different answer.
         np.testing.assert_allclose(warm_sweep.get("PF_TECHNIQUE").y,

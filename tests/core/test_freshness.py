@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.freshness import (
@@ -149,6 +149,61 @@ class TestMarginalGain:
         singles = [invert_marginal_gain(np.array([t]))[0]
                    for t in targets]
         assert np.allclose(vector, singles, rtol=1e-10)
+
+
+def lambertw_ratio(targets: np.ndarray) -> np.ndarray:
+    """The closed-form inverse ``r = −1 − W₋₁(−(1−t)/e)`` of ``g``.
+
+    Where the float argument ``−(1−t)/e`` can no longer resolve ``t``
+    (it sits on W's branch point ``−1/e``), the same branch is taken
+    from its branch-point series in ``s = √(2t)``, accurate there to
+    ~10⁻¹¹ relative.
+    """
+    lambertw = pytest.importorskip("scipy.special").lambertw
+    t = np.asarray(targets, dtype=float)
+    out = np.empty_like(t)
+    closed = t >= _ORACLE_SERIES_BELOW
+    out[closed] = (-1.0 - lambertw(-(1.0 - t[closed]) / math.e, -1)).real
+    s = np.sqrt(2.0 * t[~closed])
+    out[~closed] = s * (1.0 + s * (1.0 / 3.0 + s * (
+        11.0 / 72.0 + s * (43.0 / 540.0 + s * 769.0 / 17280.0))))
+    return out
+
+
+_ORACLE_SERIES_BELOW = 1e-4
+
+
+class TestInversionOracle:
+    """``invert_marginal_gain`` against the Lambert-W closed form."""
+
+    @given(st.floats(min_value=-300.0, max_value=-1e-3),
+           st.booleans())
+    @example(-300.0, False)
+    @example(-15.9, True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_closed_form(self, exponent, near_one):
+        target = 10.0 ** exponent
+        if near_one:
+            target = min(1.0 - target, np.nextafter(1.0, 0.0))
+        ratio = invert_marginal_gain(np.array([target]))
+        oracle = lambertw_ratio(np.array([target]))
+        assert abs(ratio[0] - oracle[0]) <= 1e-7 * oracle[0]
+
+    def test_worst_residual_over_the_whole_range(self):
+        small = np.logspace(-300.0, -1e-3, 20_000)
+        near_one = 1.0 - np.logspace(-15.9, -1e-3, 20_000)
+        targets = np.concatenate([small, near_one,
+                                  [np.nextafter(1.0, 0.0), 0.5]])
+        ratios = invert_marginal_gain(targets)
+        oracle = lambertw_ratio(targets)
+        assert np.max(np.abs(ratios - oracle) / oracle) <= 1e-7
+
+    def test_series_meets_the_closed_form_at_the_switch(self):
+        lambertw = pytest.importorskip("scipy.special").lambertw
+        t = _ORACLE_SERIES_BELOW * (1.0 - 1e-12)
+        closed = (-1.0 - lambertw(-(1.0 - t) / math.e, -1)).real
+        assert lambertw_ratio(np.array([t]))[0] == pytest.approx(
+            closed, rel=1e-9)
 
 
 class TestFixedOrderPolicy:

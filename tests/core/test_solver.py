@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.freshness import PoissonSyncPolicy
+from repro.core.freshness import (
+    FixedOrderPolicy,
+    FreshnessModel,
+    PoissonSyncPolicy,
+    marginal_gain,
+)
 from repro.core.solver import (
     kkt_residual,
     solve_core_problem,
     solve_weighted_problem,
 )
 from repro.errors import InfeasibleProblemError, ValidationError
+from repro.obs import registry as obs
 from repro.workloads.catalog import Catalog
 from repro.workloads.presets import TOY_BANDWIDTH, toy_example_catalog
 
@@ -189,3 +195,138 @@ class TestSolverProperties:
                                 catalog.change_rates, catalog.sizes,
                                 model=model)
         assert residual < 1e-6
+
+
+def reference_invert_marginal_gain(targets: np.ndarray) -> np.ndarray:
+    """The solver's previous inversion of ``g(r) = t``: safeguarded
+    Newton inside a maintained bisection bracket, iterated here to a
+    relative tolerance so it can serve as a reference."""
+    t = np.asarray(targets, dtype=float)
+    guess_small = np.sqrt(2.0 * t)
+    with np.errstate(divide="ignore"):
+        base = -np.log1p(-t)
+    guess_large = base + np.log1p(np.maximum(base, 0.0))
+    r = np.where(t < 0.5, guess_small, np.maximum(guess_large, guess_small))
+    lo = np.zeros_like(t)
+    hi = np.maximum(2.0 * r, 1.0)
+    for _ in range(200):
+        too_low = marginal_gain(hi) < t
+        if not too_low.any():
+            break
+        hi[too_low] *= 2.0
+    r = np.clip(r, lo + 1e-300, hi)
+    for _ in range(100):
+        residual = marginal_gain(r) - t
+        if (np.abs(residual) <= 1e-15 * t).all():
+            break
+        above = residual > 0.0
+        hi = np.where(above, r, hi)
+        lo = np.where(above, lo, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = r - residual / (r * np.exp(-r))
+        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
+        r = np.where(inside, newton, 0.5 * (lo + hi))
+    return r
+
+
+def reference_solve(weights: np.ndarray, rates: np.ndarray,
+                    costs: np.ndarray, bandwidth: float,
+                    model: FreshnessModel) -> tuple[np.ndarray, float]:
+    """Plain geometric bisection on μ over the reference inversion,
+    run until no float is left inside the bracket; returns the
+    budget-snapped frequencies and the objective."""
+    live = (weights > 0.0) & (rates > 0.0)
+    w, lam, c = weights[live], rates[live], costs[live]
+    ceilings = w * model.derivative(lam, np.zeros_like(lam)) / c
+
+    def allocate(mu: float) -> np.ndarray:
+        freqs = np.zeros_like(w)
+        on = ceilings > mu
+        targets = mu * c[on] / w[on]
+        if isinstance(model, FixedOrderPolicy):
+            t = np.minimum(targets * lam[on], np.nextafter(1.0, 0.0))
+            freqs[on] = lam[on] / reference_invert_marginal_gain(t)
+        else:
+            freqs[on] = model.frequency_for_marginal(lam[on], targets)
+        return freqs
+
+    lo, hi = float(ceilings.max()) * 2.0 ** -200, float(ceilings.max())
+    while True:
+        mid = float(np.sqrt(lo * hi))
+        if not lo < mid < hi:
+            break
+        if float(c @ allocate(mid)) > bandwidth:
+            lo = mid
+        else:
+            hi = mid
+    freqs = allocate(lo)
+    if float(c @ freqs) > bandwidth * (1.0 + 1e-9):
+        # The cost jumps between two adjacent floats: interpolate the
+        # elements that jump (marginal ≈ μ for each) onto the budget.
+        upper = allocate(hi)
+        jump = np.where(np.abs(freqs - upper) > 1e-9 * freqs,
+                        freqs - upper, 0.0)
+        freqs = upper + jump * ((bandwidth - float(c @ upper))
+                                / float(c @ jump))
+    freqs *= bandwidth / float(c @ freqs)
+    frequencies = np.zeros_like(weights)
+    frequencies[live] = freqs
+    return frequencies, float(weights @ model.freshness(rates,
+                                                        frequencies))
+
+
+class TestSolverParity:
+    """Objective parity with bisection over the previous inversion."""
+
+    @given(st.integers(min_value=2, max_value=60),
+           st.floats(min_value=0.0, max_value=2.0),
+           st.floats(min_value=0.0, max_value=2.0),
+           st.floats(min_value=0.02, max_value=3.0),
+           st.floats(min_value=0.0, max_value=0.3),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_objective_and_stationarity(self, n, skew, size_spread,
+                                        bandwidth_ratio, dead_fraction,
+                                        poisson, seed):
+        rng = np.random.default_rng(seed)
+        weights = 1.0 / np.arange(1, n + 1) ** skew  # Zipf profile
+        rng.shuffle(weights)
+        rates = rng.lognormal(0.0, 1.0, size=n)
+        costs = rng.lognormal(0.0, size_spread, size=n)
+        # Some elements never change, some are never read.
+        weights[rng.random(n) < dead_fraction] = 0.0
+        rates[rng.random(n) < dead_fraction] = 0.0
+        if not ((weights > 0.0) & (rates > 0.0)).any():
+            weights[0], rates[0] = 1.0, 1.0
+        weights /= weights.sum()
+        bandwidth = bandwidth_ratio * float(rates.sum())
+        model = PoissonSyncPolicy() if poisson else FixedOrderPolicy()
+        solution = solve_weighted_problem(weights, rates, costs,
+                                          bandwidth, model=model)
+        frequencies, objective = reference_solve(weights, rates, costs,
+                                                 bandwidth, model)
+        assert solution.objective == pytest.approx(objective, rel=1e-12)
+        assert (solution.frequencies[(weights == 0.0) | (rates == 0.0)]
+                == 0.0).all()
+        residual = kkt_residual(solution, weights, rates, costs,
+                                model=model)
+        assert residual <= 1e-6 * solution.multiplier
+
+    def test_tie_on_the_ceiling_resolves_the_degeneracy(self):
+        """Ten tied elements whose activation jump straddles the
+        budget: it falls inside the jump, so they absorb the leftover
+        exactly, and stationarity still holds."""
+        weights = np.array([1.0] + [0.5] * 10)
+        rates = np.ones(11)
+        costs = np.ones(11)
+        with obs.telemetry() as registry:
+            solution = solve_weighted_problem(weights, rates, costs, 0.7)
+        assert registry.counters["solver.threshold_degeneracies"] == 1.0
+        assert float(costs @ solution.frequencies) == pytest.approx(
+            0.7, rel=1e-15)
+        assert np.allclose(solution.frequencies[1:],
+                           solution.frequencies[1])
+        assert solution.multiplier == pytest.approx(0.5, rel=1e-12)
+        residual = kkt_residual(solution, weights, rates, costs)
+        assert residual <= 1e-6 * solution.multiplier

@@ -13,6 +13,7 @@ from repro.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_SIM = REPO_ROOT / "benchmarks" / "results" / "BENCH_sim.json"
+BENCH_SOLVER = REPO_ROOT / "benchmarks" / "results" / "BENCH_solver.json"
 
 
 class TestParser:
@@ -295,6 +296,23 @@ class TestObsDiff:
         capsys.readouterr()
         tape = str(tmp_path / "telemetry.jsonl")
         assert main(["obs", "diff", tape, tape]) == 0
+
+    def test_solver_record_pass_counts_are_lower_better(self, capsys,
+                                                        tmp_path):
+        baseline = json.loads(BENCH_SOLVER.read_text())
+        candidate = copy.deepcopy(baseline)
+        for row in candidate["rows"]:
+            row["inner_passes"] *= 2
+        base_path = tmp_path / "base.json"
+        cand_path = tmp_path / "cand.json"
+        base_path.write_text(json.dumps(baseline))
+        cand_path.write_text(json.dumps(candidate))
+        assert main(["obs", "diff", str(base_path), str(base_path)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "diff", str(base_path), str(cand_path)]) == 1
+        output = capsys.readouterr().out
+        assert "solver.n100000.inner_passes" in output
+        assert "REGRESSION" in output
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         base, _ = self._bench_pair(tmp_path, 1.0)
