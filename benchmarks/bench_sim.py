@@ -11,7 +11,9 @@ through per-point subprocesses (``scaling_worker.py``) so each row
 gets its own ``ru_maxrss`` high-water mark, with the quiet arms run
 under a ``setrlimit`` address-space ceiling.  The parallel bench runs
 a 16-point burstiness sweep serially and through the process-pool
-executor and records the wall-clock ratio.  All write
+executor and records the wall-clock ratio.  The regroup gate
+(``-k regroup``) is clock-free: it counts the events the replay's
+radix regroup permutes and the digit passes it makes.  All write
 machine-readable rows to ``benchmarks/results/BENCH_sim.json`` for
 CI's perf-smoke job to archive and diff.
 
@@ -24,6 +26,7 @@ bit-identical to serial — always fire.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,7 +37,7 @@ import numpy as np
 
 import repro
 from repro.analysis.sensitivity import burstiness_robustness
-from repro.core.freshener import PerceivedFreshener
+from repro.core.freshener import PartitionedFreshener, PerceivedFreshener
 from repro.faults.model import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.obs import registry as obs
@@ -562,6 +565,55 @@ def test_parallel_scaling_bench(benchmark):
         "speedup": speedup,
         "efficiency": efficiency,
     }
+    _write_payload(payload)
+
+
+#: Catalog sizes of the regroup pass-count gate (elements).
+REGROUP_SIZES = (100_000, 1_000_000)
+
+
+def _regroup_row(n: int) -> dict:
+    """One telemetry-on one-shot quiet run; its regroup histograms."""
+    setup = ExperimentSetup(n_objects=n, updates_per_period=1.0 * n,
+                            syncs_per_period=0.3 * n, theta=1.0,
+                            update_std_dev=2.0)
+    catalog = build_catalog(setup, seed=0)
+    plan = PartitionedFreshener(n_partitions=64).plan(
+        catalog, setup.syncs_per_period)
+    sim = Simulation(catalog, plan.frequencies, request_rate=0.5 * n,
+                     rng=np.random.default_rng(1))
+    with obs.telemetry() as registry:
+        sim.run(2.0, engine="fastpath")
+    events = registry.histograms["sim.regroup.events"]
+    passes = registry.histograms["sim.regroup.radix_passes"]
+    return {
+        "n_elements": n,
+        "tape_events": int(registry.counters["sim.updates"]
+                           + registry.counters["sim.syncs"]
+                           + registry.counters["sim.accesses"]),
+        "regroup_calls": events.count,
+        "regrouped_events": int(events.total),
+        "radix_passes": int(passes.total),
+    }
+
+
+def test_regroup_pass_count_gate():
+    """Clock-free gate on the O(n) element regroup.
+
+    A one-shot replay regroups its tape once, permuting every event,
+    in one 16-bit radix pass per id digit: ⌈log₂(n)/16⌉ passes for an
+    n-element catalog (2 at 10⁵ and 10⁶).  Counts depend on no clock,
+    so a silent fall back to a comparison sort fails here even on a
+    slow runner."""
+    rows = [_regroup_row(n) for n in REGROUP_SIZES]
+    for row in rows:
+        assert row["regroup_calls"] == 1, row
+        assert row["regrouped_events"] == row["tape_events"], row
+        assert row["radix_passes"] == math.ceil(
+            math.log2(row["n_elements"]) / 16), row
+    RESULTS_DIR.mkdir(exist_ok=True)
+    payload = _load_payload()
+    payload["regroup"] = {"rows": rows}
     _write_payload(payload)
 
 

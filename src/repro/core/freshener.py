@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.allocation import AllocationPolicy, expand_partition_frequencies
 from repro.core.clustering import refine_partitions
 from repro.core.freshness import FixedOrderPolicy, FreshnessModel
-from repro.core.metrics import general_freshness, perceived_freshness
+from repro.core.metrics import element_freshness
 from repro.core.nlp_solver import solve_weighted_problem_nlp
 from repro.core.partitioning import PartitioningStrategy, partition_catalog
 from repro.core.representatives import (
@@ -112,13 +112,16 @@ class Freshener(ABC):
 
     def _finish(self, catalog: Catalog, frequencies: np.ndarray,
                 metadata: Mapping[str, Any]) -> FresheningPlan:
+        # One F̄ evaluation serves both figures, with the same ops as
+        # metrics.perceived_freshness / metrics.general_freshness.
+        freshness = element_freshness(catalog, frequencies,
+                                      model=self._model)
         return FresheningPlan(
             catalog=catalog,
             frequencies=frequencies,
-            perceived_freshness=perceived_freshness(catalog, frequencies,
-                                                    model=self._model),
-            general_freshness=general_freshness(catalog, frequencies,
-                                                model=self._model),
+            perceived_freshness=float(
+                catalog.access_probabilities @ freshness),
+            general_freshness=float(freshness.mean()),
             bandwidth=float(catalog.sizes @ frequencies),
             metadata=dict(metadata),
         )

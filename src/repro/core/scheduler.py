@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from repro.errors import ScheduleError
+from repro.numerics.sorting import stable_time_argsort
 
 __all__ = ["PhasePolicy", "SyncSchedule"]
 
@@ -169,7 +170,7 @@ class SyncSchedule:
             keep &= times >= start
         times = times[keep]
         elements = active[rep[keep]].astype(np.int64, copy=False)
-        order = np.argsort(times, kind="stable")
+        order = stable_time_argsort(times)
         return times[order], elements[order]
 
     def _active_intervals(self) -> tuple[np.ndarray, np.ndarray,

@@ -14,11 +14,15 @@ paper used.  It contains:
 * :mod:`repro.numerics.waterfill` — generic water-filling machinery
   for separable concave resource allocation: a safeguarded Newton
   search on the KKT multiplier.
+* :mod:`repro.numerics.sorting` — stable O(n) radix argsorts for
+  event times and dense element ids, bit-identical to a direct
+  stable ``np.argsort``.
 """
 
 from repro.numerics.kmeans import KMeansResult, kmeans, kmeans_iterate
 from repro.numerics.optimize import NlpResult, ProjectedGradientSolver
 from repro.numerics.roots import bisect, newton_bisect_increasing
+from repro.numerics.sorting import stable_id_argsort, stable_time_argsort
 from repro.numerics.stats import (
     ConfidenceInterval,
     mean_confidence_interval,
@@ -32,6 +36,8 @@ __all__ = [
     "mean_confidence_interval",
     "t_critical_value",
     "newton_bisect_increasing",
+    "stable_id_argsort",
+    "stable_time_argsort",
     "ProjectedGradientSolver",
     "NlpResult",
     "kmeans",

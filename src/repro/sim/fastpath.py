@@ -41,9 +41,11 @@ reference loop's hidden ``_bad`` dict.
 How the loop is vectorized
 --------------------------
 
-The tape is regrouped per element with a stable sort, which preserves
-each element's global event order (updates before syncs before
-accesses at equal timestamps, courtesy of the merge's lexsort).  The
+The tape is regrouped per element once, by an O(n) LSD radix sort of
+the dense element ids (:func:`_regroup`; one 16-bit pass below 2¹⁶
+ids, two below 2³²).  The permutation equals a stable argsort, so it
+preserves each element's global event order (updates before syncs
+before accesses at equal timestamps, courtesy of the merge).  The
 per-element monitor state machine is then reconstructed with segment
 operations:
 
@@ -52,8 +54,15 @@ operations:
   state-change positions);
 * stale-run start times (``stale_since``) carry forward from each
   run-opening update by the same trick;
-* fresh-time and age-integral increments are computed for every event
-  at once and folded per element with :func:`numpy.bincount`.
+* fresh-time increments are computed for every event at once,
+  age-integral increments for the stale-before events only (the
+  rest are zero), and both are folded per element with
+  :func:`numpy.bincount`.
+
+Per-event flags in tape order (fresh before, run start, becomes
+fresh, changed sync) cost a scatter per flag, so the kernels build
+them only for callers that read them: the telemetry series, the
+freshness ledger and the window-batch split.
 
 Bit-identity notes (all verified by the equivalence suite):
 
@@ -122,6 +131,7 @@ from repro.contracts import (
 from repro.errors import SimulationError
 from repro.faults.model import GilbertElliottFaultModel, PollOutcome
 from repro.faults.retry import RetryPolicy
+from repro.numerics.sorting import id_radix_passes, stable_id_argsort
 from repro.obs import registry as obs
 from repro.sim.events import EventKind
 from repro.sim.evaluator import SimulationResult
@@ -180,14 +190,130 @@ def _last_position_at_or_before(candidate_positions: np.ndarray,
     return np.where(running >= segment_start_of, running, -1)
 
 
+def _state_changes(is_state_change: np.ndarray, positions: np.ndarray,
+                   segment_start_of: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Latest in-segment update/sync at or before, and strictly
+    before, each event (−1 = none yet), as regrouped positions."""
+    last = _last_position_at_or_before(
+        np.where(is_state_change, positions, -1), segment_start_of)
+    previous = np.empty_like(last)
+    previous[0] = -1
+    previous[1:] = last[:-1]
+    return last, np.where(previous >= segment_start_of, previous, -1)
+
+
+def _age_increments(time_of: np.ndarray, previous_time: np.ndarray,
+                    stale_positions: np.ndarray,
+                    stale_since: np.ndarray) -> np.ndarray:
+    """Per-event age-integral increments, in clock units².
+
+    Only stale-before events accrue age, so the trapezoid is taken
+    at ``stale_positions`` alone and scattered into zeros (the fold
+    adds the same 0.0 a masked full-length form would).  The
+    reference loop squares np.float64 *scalars* (libm pow);
+    np.float_power is the array op that matches it bit-for-bit,
+    where array ** 2 (x*x) would not.
+    """
+    end_offset = time_of[stale_positions] - stale_since
+    start_offset = previous_time[stale_positions] - stale_since
+    increments = np.zeros(time_of.shape[0])
+    increments[stale_positions] = 0.5 * (
+        np.float_power(end_offset, 2.0)
+        - np.float_power(start_offset, 2.0))
+    return increments
+
+
+@dataclass
+class _Regrouped:
+    """A nonempty tape regrouped per element, tape order kept within.
+
+    ``order`` (int32) maps each regrouped position to its tape
+    position; the ``*_of`` arrays are the tape columns in regrouped
+    order.  A *segment* is one element's run of events:
+    ``new_segment`` flags its first event, ``segment_start_of`` holds
+    each event's segment start (int32), and ``starts``/``ends``/
+    ``present`` hold each segment's first and last position and its
+    element id.
+    """
+
+    order: np.ndarray
+    element_of: np.ndarray
+    time_of: np.ndarray
+    kind_of: np.ndarray
+    new_segment: np.ndarray
+    segment_start_of: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    present: np.ndarray
+
+
+def _regroup(times: np.ndarray, elements: np.ndarray,
+             kinds: np.ndarray) -> _Regrouped:
+    """Regroup a nonempty tape per element with the radix permutation.
+
+    The permutation equals a stable ``argsort`` of the element ids, so
+    every element keeps its global event order (updates before syncs
+    before accesses at equal timestamps, courtesy of the merge), and
+    it costs O(n): one or two 16-bit radix passes
+    (:func:`~repro.numerics.sorting.stable_id_argsort`).  With
+    telemetry on, each call observes ``sim.regroup.events`` (events
+    permuted) and ``sim.regroup.radix_passes`` — histograms, not
+    counters, so the counter set stays identical to the reference
+    loop's and to one-shot replay of a slab-split tape.
+    """
+    n_events = int(times.shape[0])
+    order = stable_id_argsort(elements)
+    element_of = elements[order]
+    new_segment, segment_start_of = _segment_starts(element_of)
+    starts = np.flatnonzero(new_segment)
+    ends = np.append(starts[1:] - 1, n_events - 1)
+    if obs.telemetry_enabled():
+        obs.observe("sim.regroup.events", n_events)
+        # Sorted, so the last id is the largest.
+        obs.observe("sim.regroup.radix_passes",
+                    id_radix_passes(int(element_of[-1])))
+    return _Regrouped(
+        order=order, element_of=element_of, time_of=times[order],
+        kind_of=kinds[order], new_segment=new_segment,
+        segment_start_of=segment_start_of.astype(np.int32, copy=False),
+        starts=starts, ends=ends, present=element_of[starts])
+
+
+def _tape_order_flags(order: np.ndarray, fresh_before: np.ndarray,
+                      run_start: np.ndarray, becomes_fresh: np.ndarray,
+                      changed_positions: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+    """Scatter regrouped per-event flags back to tape order.
+
+    Returns ``(fresh_before, run_start, becomes_fresh, changed_sync)``
+    in tape order, for the telemetry series, the ledger and the
+    window-batch split; ``changed_positions`` are the regrouped
+    positions of syncs that found a change.
+    """
+    n_events = order.shape[0]
+
+    def scatter(values: np.ndarray) -> np.ndarray:
+        scattered = np.empty(n_events, dtype=bool)
+        scattered[order] = values
+        return scattered
+
+    changed_sync = np.zeros(n_events, dtype=bool)
+    changed_sync[order[changed_positions]] = True
+    return (scatter(fresh_before), scatter(run_start),
+            scatter(becomes_fresh), changed_sync)
+
+
 @dataclass
 class _TapeReplay:
     """Everything the copy-state machine measures from one tape.
 
     Per-element arrays have one entry per element; the ``*_global``
-    flag arrays have one entry per tape event in *tape* order (None
-    for an empty tape).  Shared by the fault-free, faulted and
-    window-batched assembly paths.
+    flag arrays have one entry per tape event in *tape* order, and
+    are None for an empty tape or when the caller did not request
+    them (``tape_flags=False``).  Shared by the fault-free, faulted
+    and window-batched assembly paths.
     """
 
     element_freshness: np.ndarray
@@ -209,7 +335,8 @@ class _TapeReplay:
 
 def _replay_tape(n_elements: int, sizes: np.ndarray,
                  times: np.ndarray, elements: np.ndarray,
-                 kinds: np.ndarray, *, horizon: float) -> _TapeReplay:
+                 kinds: np.ndarray, *, horizon: float,
+                 tape_flags: bool = False) -> _TapeReplay:
     """Replay one merged event tape through the segment kernel.
 
     Args:
@@ -223,6 +350,9 @@ def _replay_tape(n_elements: int, sizes: np.ndarray,
         kinds: :class:`~repro.sim.events.EventKind` per merged event.
         horizon: Total simulated clock time per element, in clock
             units.
+        tape_flags: Whether to scatter the per-event flags back to
+            tape order (the ``*_global`` fields); only the telemetry
+            series, the ledger and the window split read them.
 
     Returns:
         The :class:`_TapeReplay` measurements, bit-identical to the
@@ -231,6 +361,7 @@ def _replay_tape(n_elements: int, sizes: np.ndarray,
     n_events = int(times.shape[0])
     update_kind = int(EventKind.UPDATE)
     sync_kind = int(EventKind.SYNC)
+    flags: tuple[np.ndarray | None, ...] = (None, None, None, None)
 
     if n_events:
         # Structure-of-arrays dtype discipline: event counts fit
@@ -240,20 +371,17 @@ def _replay_tape(n_elements: int, sizes: np.ndarray,
         if n_events >= np.iinfo(np.int32).max:
             raise SimulationError(
                 f"tape of {n_events} events overflows int32 positions")
-        order = np.argsort(elements, kind="stable")
-        element_of = elements[order]
-        time_of = times[order]
-        kind_of = kinds[order]
+        tape = _regroup(times, elements, kinds)
+        element_of = tape.element_of
+        time_of = tape.time_of
+        kind_of = tape.kind_of
+        segment_start_of = tape.segment_start_of
+        ends = tape.ends
+        present = tape.present
         positions = np.arange(n_events, dtype=np.int32)
 
-        new_segment, segment_start_of = _segment_starts(element_of)
-        segment_start_of = segment_start_of.astype(np.int32, copy=False)
-        segment_start_positions = np.flatnonzero(new_segment)
-        segment_end_positions = np.append(
-            segment_start_positions[1:] - 1, n_events - 1)
-        present = element_of[segment_start_positions]
-
-        previous_time = _shift_within_segment(time_of, new_segment, 0.0)
+        previous_time = _shift_within_segment(time_of, tape.new_segment,
+                                              0.0)
         if (time_of < previous_time).any():
             raise SimulationError("event tape is not time-ordered")
         elapsed = time_of - previous_time
@@ -265,16 +393,8 @@ def _replay_tape(n_elements: int, sizes: np.ndarray,
         # --- monitor state before each event -------------------------
         # The fresh flag before event k is decided by the last update
         # or sync strictly before k in its segment (fresh initially).
-        state_change_positions = np.where(is_update | is_sync,
-                                          positions, -1)
-        last_state_change = _last_position_at_or_before(
-            state_change_positions, segment_start_of)
-        previous_state_change = np.empty_like(last_state_change)
-        previous_state_change[0] = -1
-        previous_state_change[1:] = last_state_change[:-1]
-        previous_state_change = np.where(
-            previous_state_change >= segment_start_of,
-            previous_state_change, -1)
+        last_state_change, previous_state_change = _state_changes(
+            is_update | is_sync, positions, segment_start_of)
         fresh_before = ((previous_state_change < 0)
                         | (kind_of[np.maximum(previous_state_change, 0)]
                            == sync_kind))
@@ -287,33 +407,28 @@ def _replay_tape(n_elements: int, sizes: np.ndarray,
         # and never reads `since`.
         since_position = _last_position_at_or_before(
             run_start_positions, segment_start_of)
-        stale_since = time_of[np.maximum(since_position, 0)]
 
         # --- per-event increments, folded per element ----------------
-        # The reference loop squares np.float64 *scalars* (libm pow);
-        # np.float_power is the array op that matches it bit-for-bit,
-        # where array ** 2 (x*x) would not.
-        end_offset = time_of - stale_since
-        start_offset = previous_time - stale_since
-        age_increment = 0.5 * (np.float_power(end_offset, 2.0)
-                               - np.float_power(start_offset, 2.0))
-        fresh_time = np.bincount(
-            element_of, weights=np.where(fresh_before, elapsed, 0.0),
-            minlength=n_elements)
-        age_integral = np.bincount(
-            element_of,
-            weights=np.where(fresh_before, 0.0, age_increment),
-            minlength=n_elements)
+        stale_positions = np.flatnonzero(~fresh_before)
+        stale_since = time_of[np.maximum(
+            since_position[stale_positions], 0)]
+        age_increment = _age_increments(time_of, previous_time,
+                                        stale_positions, stale_since)
+        elapsed[stale_positions] = 0.0
+        fresh_time = np.bincount(element_of, weights=elapsed,
+                                 minlength=n_elements)
+        age_integral = np.bincount(element_of, weights=age_increment,
+                                   minlength=n_elements)
 
         # --- final state per element, for the horizon flush ----------
         last_time = np.zeros(n_elements)
-        last_time[present] = time_of[segment_end_positions]
-        final_state_change = last_state_change[segment_end_positions]
+        last_time[present] = time_of[ends]
+        final_state_change = last_state_change[ends]
         fresh_final = np.ones(n_elements, dtype=bool)
         fresh_final[present] = (
             (final_state_change < 0)
             | (kind_of[np.maximum(final_state_change, 0)] == sync_kind))
-        final_since_position = since_position[segment_end_positions]
+        final_since_position = since_position[ends]
         stale_since_final = np.zeros(n_elements)
         stale_since_final[present] = np.where(
             final_since_position >= 0,
@@ -369,16 +484,10 @@ def _replay_tape(n_elements: int, sizes: np.ndarray,
             np.zeros(sync_sizes.shape[0], dtype=np.intp),
             weights=sync_sizes, minlength=1)[0])
 
-        # Scatter the sorted-order flags back to tape order for the
-        # telemetry series and the window-batch split.
-        fresh_before_global = np.empty(n_events, dtype=bool)
-        fresh_before_global[order] = fresh_before
-        run_start_global = np.empty(n_events, dtype=bool)
-        run_start_global[order] = run_start
-        becomes_fresh_global = np.empty(n_events, dtype=bool)
-        becomes_fresh_global[order] = is_sync & ~fresh_before
-        changed_sync_global = np.zeros(n_events, dtype=bool)
-        changed_sync_global[order[sync_positions[changed]]] = True
+        if tape_flags:
+            flags = _tape_order_flags(
+                tape.order, fresh_before, run_start,
+                is_sync & ~fresh_before, sync_positions[changed])
     else:  # an empty tape: every copy stays fresh to the horizon
         fresh_time = np.zeros(n_elements)
         age_integral = np.zeros(n_elements)
@@ -391,10 +500,6 @@ def _replay_tape(n_elements: int, sizes: np.ndarray,
         useful_syncs = n_syncs = n_updates = 0
         n_accesses = fresh_accesses = 0
         bandwidth_used = 0.0
-        fresh_before_global = None
-        run_start_global = None
-        becomes_fresh_global = None
-        changed_sync_global = None
 
     # --- horizon flush: mirrors FreshnessMonitor.close() exactly ----
     # (array ** 2 here on purpose — close() squares arrays).
@@ -421,10 +526,10 @@ def _replay_tape(n_elements: int, sizes: np.ndarray,
         useful_syncs=useful_syncs,
         fresh_accesses=fresh_accesses,
         bandwidth_used=bandwidth_used,
-        fresh_before_global=fresh_before_global,
-        run_start_global=run_start_global,
-        becomes_fresh_global=becomes_fresh_global,
-        changed_sync_global=changed_sync_global,
+        fresh_before_global=flags[0],
+        run_start_global=flags[1],
+        becomes_fresh_global=flags[2],
+        changed_sync_global=flags[3],
     )
 
 
@@ -458,15 +563,17 @@ def replay_fastpath(catalog: Catalog, frequencies: np.ndarray,
         loop's for the same tape.
     """
     sizes = np.asarray(catalog.sizes, dtype=float)
+    telemetry_on = obs.telemetry_enabled()
     replay = _replay_tape(catalog.n_elements, sizes, times, elements,
-                          kinds, horizon=horizon)
+                          kinds, horizon=horizon,
+                          tape_flags=telemetry_on)
     p = catalog.access_probabilities
     perceived_by_accesses = (
         replay.fresh_accesses / replay.n_accesses
         if replay.n_accesses
         else float(p @ replay.element_freshness))
 
-    if obs.telemetry_enabled():
+    if telemetry_on:
         _emit_period_series(
             times, elements, kinds, sizes,
             replay.fresh_before_global, replay.run_start_global,
@@ -767,7 +874,8 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
         sorted order, and the per-element state after the batch.
     """
     m = int(sync_elements.shape[0])
-    order = np.argsort(sync_elements, kind="stable")
+    # Pool positions run to 2·m: widen the int32 permutation first.
+    order = stable_id_argsort(sync_elements).astype(np.int64)
     element_sorted = sync_elements[order]
     transition_at = order * 2
     # out-state of this sync's transition, given the in-state:
@@ -1178,9 +1286,10 @@ def _assemble_faulted_result(catalog: Catalog,
     times_kept = times[kept]
     elements_kept = elements[kept]
     kinds_kept = kinds[kept]
+    telemetry_on = obs.telemetry_enabled()
     replay = _replay_tape(n_elements, sizes, times_kept,
                           elements_kept, kinds_kept,
-                          horizon=horizon)
+                          horizon=horizon, tape_flags=telemetry_on)
 
     accounting = _FaultAccounting.from_resolution(
         resolution, sync_elements, sizes, n_elements)
@@ -1190,7 +1299,7 @@ def _assemble_faulted_result(catalog: Catalog,
         if replay.n_accesses
         else float(p @ replay.element_freshness))
 
-    if obs.telemetry_enabled():
+    if telemetry_on:
         _emit_fault_counters(accounting, failure_outcome)
         n_buckets = max(int(np.ceil(n_periods)) - 1, 0) + 1
         sync_buckets = (sync_local_times
@@ -1821,7 +1930,7 @@ def replay_window_tapes(catalog: Catalog, frequencies: np.ndarray,
     kinds_f = kinds[kept]
     replay = _replay_tape(n_windows * n_elements, tiled_sizes,
                           times_f, elements_tiled[kept], kinds_f,
-                          horizon=period_length)
+                          horizon=period_length, tape_flags=True)
     filtered_bounds = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(keep)])[bounds]
 
@@ -2110,7 +2219,7 @@ def _fold_with_carry(carry_values: np.ndarray, elements: np.ndarray,
 
 def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
                        times: np.ndarray, elements: np.ndarray,
-                       kinds: np.ndarray
+                       kinds: np.ndarray, *, tape_flags: bool = False
                        ) -> tuple[np.ndarray | None, np.ndarray | None,
                                   np.ndarray | None, np.ndarray | None]:
     """Fold one slab of a (kept) tape into the carry state.
@@ -2131,11 +2240,13 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
         times: Slab event times (global clock), time-ordered.
         elements: Element id per slab event.
         kinds: :class:`~repro.sim.events.EventKind` per slab event.
+        tape_flags: Whether to return the per-event flags in tape
+            order (for the telemetry series and the ledger).
 
     Returns:
         ``(fresh_before, run_start, becomes_fresh, changed_sync)``
-        flags in *tape* order for the telemetry series, or all None
-        for an empty slab.
+        flags in *tape* order, or all None for an empty slab or when
+        ``tape_flags`` is False.
     """
     n_events = int(times.shape[0])
     if not n_events:
@@ -2147,22 +2258,18 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
     update_kind = int(EventKind.UPDATE)
     sync_kind = int(EventKind.SYNC)
 
-    order = np.argsort(elements, kind="stable")
-    element_of = elements[order]
-    time_of = times[order]
-    kind_of = kinds[order]
+    tape = _regroup(times, elements, kinds)
+    element_of = tape.element_of
+    time_of = tape.time_of
+    kind_of = tape.kind_of
+    segment_start_of = tape.segment_start_of
+    ends = tape.ends
+    present = tape.present
     positions = np.arange(n_events, dtype=np.int32)
 
-    new_segment, segment_start_of = _segment_starts(element_of)
-    segment_start_of = segment_start_of.astype(np.int32, copy=False)
-    segment_start_positions = np.flatnonzero(new_segment)
-    segment_end_positions = np.append(
-        segment_start_positions[1:] - 1, n_events - 1)
-    present = element_of[segment_start_positions]
-
     # Previous event time: within-slab shift, carried time at starts.
-    previous_time = _shift_within_segment(time_of, new_segment, 0.0)
-    previous_time[segment_start_positions] = carry.last_time[present]
+    previous_time = _shift_within_segment(time_of, tape.new_segment, 0.0)
+    previous_time[tape.starts] = carry.last_time[present]
     if (time_of < previous_time).any():
         raise SimulationError(
             "slab events precede the carried replay clock")
@@ -2174,42 +2281,32 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
 
     # Fresh flag before each event: last in-slab state change decides;
     # otherwise the carried flag.
-    state_change_positions = np.where(is_update | is_sync,
-                                      positions, -1)
-    last_state_change = _last_position_at_or_before(
-        state_change_positions, segment_start_of)
-    previous_state_change = np.empty_like(last_state_change)
-    previous_state_change[0] = -1
-    previous_state_change[1:] = last_state_change[:-1]
-    previous_state_change = np.where(
-        previous_state_change >= segment_start_of,
-        previous_state_change, -1)
+    last_state_change, previous_state_change = _state_changes(
+        is_update | is_sync, positions, segment_start_of)
     fresh_before = np.where(
         previous_state_change >= 0,
         kind_of[np.maximum(previous_state_change, 0)] == sync_kind,
         carry.fresh[element_of])
 
     # Stale-run starts: in-slab run start pins stale_since, otherwise
-    # the carried run start (fresh elements read a leftover value the
-    # increment mask discards, exactly like the one-shot kernel).
+    # the carried run start.  Only stale-before events read it, and
+    # only they accrue age (see _replay_tape).
     run_start = is_update & fresh_before
     run_start_positions = np.where(run_start, positions, -1)
     since_position = _last_position_at_or_before(
         run_start_positions, segment_start_of)
+    stale_positions = np.flatnonzero(~fresh_before)
+    stale_run_start = since_position[stale_positions]
     stale_since = np.where(
-        since_position >= 0, time_of[np.maximum(since_position, 0)],
-        carry.stale_since[element_of])
-
-    end_offset = time_of - stale_since
-    start_offset = previous_time - stale_since
-    age_increment = 0.5 * (np.float_power(end_offset, 2.0)
-                           - np.float_power(start_offset, 2.0))
+        stale_run_start >= 0, time_of[np.maximum(stale_run_start, 0)],
+        carry.stale_since[element_of[stale_positions]])
+    age_increment = _age_increments(time_of, previous_time,
+                                    stale_positions, stale_since)
+    elapsed[stale_positions] = 0.0
     carry.fresh_time = _fold_with_carry(
-        carry.fresh_time, element_of,
-        np.where(fresh_before, elapsed, 0.0), n_elements)
+        carry.fresh_time, element_of, elapsed, n_elements)
     carry.age_integral = _fold_with_carry(
-        carry.age_integral, element_of,
-        np.where(fresh_before, 0.0, age_increment), n_elements)
+        carry.age_integral, element_of, age_increment, n_elements)
 
     # Poll bookkeeping on absolute source versions: the carried update
     # count anchors in-slab cumulative counts, and a slab-opening poll
@@ -2235,18 +2332,18 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
 
     # Final per-element state for the next slab (read the old carry
     # before overwriting it).
-    final_state_change = last_state_change[segment_end_positions]
+    final_state_change = last_state_change[ends]
     carry_fresh_present = carry.fresh[present]
     final_fresh = np.where(
         final_state_change >= 0,
         kind_of[np.maximum(final_state_change, 0)] == sync_kind,
         carry_fresh_present)
-    final_since = since_position[segment_end_positions]
+    final_since = since_position[ends]
     carry.stale_since[present] = np.where(
         final_since >= 0, time_of[np.maximum(final_since, 0)],
         carry.stale_since[present])
     carry.fresh[present] = final_fresh
-    carry.last_time[present] = time_of[segment_end_positions]
+    carry.last_time[present] = time_of[ends]
     carry.versions += np.bincount(element_of[is_update],
                                   minlength=n_elements
                                   ).astype(np.int64)
@@ -2283,16 +2380,10 @@ def _replay_tape_chunk(carry: ReplayCarry, sizes: np.ndarray,
         weights=np.concatenate([[carry.bandwidth_used], sync_sizes]),
         minlength=1)[0])
 
-    fresh_before_global = np.empty(n_events, dtype=bool)
-    fresh_before_global[order] = fresh_before
-    run_start_global = np.empty(n_events, dtype=bool)
-    run_start_global[order] = run_start
-    becomes_fresh_global = np.empty(n_events, dtype=bool)
-    becomes_fresh_global[order] = becomes_fresh
-    changed_sync_global = np.zeros(n_events, dtype=bool)
-    changed_sync_global[order[sync_positions[changed]]] = True
-    return (fresh_before_global, run_start_global,
-            becomes_fresh_global, changed_sync_global)
+    if not tape_flags:
+        return None, None, None, None
+    return _tape_order_flags(tape.order, fresh_before, run_start,
+                             becomes_fresh, sync_positions[changed])
 
 
 class StreamingReplay:
@@ -2490,7 +2581,8 @@ class StreamingReplay:
 
         fresh_base = self._carry.fresh_count
         flags = _replay_tape_chunk(self._carry, self._sizes,
-                                   times, elements, kinds)
+                                   times, elements, kinds,
+                                   tape_flags=telemetry_on)
         if telemetry_on:
             _emit_period_series(
                 times, elements, kinds, self._sizes,

@@ -704,6 +704,15 @@ class Simulation:
         Generators lacking ``draw_window_sorted`` (custom update
         processes exposing only the raw ``draw_window`` primitive)
         fall back to unsorted draws fused by one stable argsort.
+
+        A workload rng that cannot ``spawn`` (a bit generator built
+        on a seed sequence without spawning support) gets its slab
+        children the draw-consuming way instead: one
+        ``rng.integers(2⁶³ − 1)`` draw per slab, in slab order, seeds
+        each child's ``SeedSequence``.  The run stays deterministic,
+        but the parent rng advances by exactly ``n_slabs`` draws where
+        ``spawn`` leaves it untouched.  With telemetry on, this path
+        bumps the ``sim.streaming.spawn_fallback`` counter.
         """
         if int(chunk_periods) != chunk_periods or chunk_periods < 1:
             raise ValidationError(
@@ -733,8 +742,9 @@ class Simulation:
         try:
             children = self._rng.spawn(n_slabs)
         except (AttributeError, TypeError, ValueError):
-            # Hand-built bit generator without a seed sequence:
-            # derive children the draw-consuming way.
+            # Hand-built bit generator without a spawnable seed
+            # sequence: derive children the draw-consuming way.
+            obs.counter_add("sim.streaming.spawn_fallback")
             children = [
                 np.random.default_rng(np.random.SeedSequence(
                     int(self._rng.integers(np.iinfo(np.int64).max))))

@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.core.scheduler import SyncSchedule
 from repro.errors import ValidationError
 from repro.faults.model import FaultPlan
 from repro.faults.retry import RetryPolicy
+from repro.numerics import sorting
 from repro.obs import registry as obs
-from repro.sim import events as events_mod
 from repro.sim.events import merge_kind_blocks, merge_sorted_blocks
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
@@ -258,6 +259,45 @@ class TestChunkedRun:
                 for chunk in (1, 2, 3)]
         assert len({run.n_syncs for run in runs}) == 1
 
+    def test_spawnless_rng_derives_children_by_draws(self):
+        """A hand-built bit generator whose seed sequence cannot
+        spawn takes the documented fallback: one ``integers`` draw
+        per slab seeds each child, deterministically, and the
+        ``sim.streaming.spawn_fallback`` counter records it."""
+
+        class FixedSeedSequence(ISeedSequence):
+            def generate_state(self, n_words, dtype=np.uint32):
+                return np.arange(1, n_words + 1, dtype=dtype)
+
+        def hand_built_rng():
+            return np.random.Generator(
+                np.random.PCG64(FixedSeedSequence()))
+
+        with pytest.raises(TypeError):
+            hand_built_rng().spawn(1)
+        catalog, frequencies = self.setup_world()
+        n_periods, chunk = 5.0, 2
+        n_slabs = 3
+
+        def chunked_run():
+            sim = Simulation(catalog, frequencies, request_rate=60.0,
+                             rng=hand_built_rng())
+            before = sim._rng.bit_generator.state
+            with obs.telemetry() as registry:
+                result = sim.run(n_periods, chunk_periods=chunk)
+            return (result, before, sim._rng.bit_generator.state,
+                    registry.counters)
+
+        first, before, after, counters = chunked_run()
+        second, _, _, _ = chunked_run()
+        assert_results_identical(first, second)
+        probe = hand_built_rng()
+        probe.bit_generator.state = before
+        for _ in range(n_slabs):
+            probe.integers(np.iinfo(np.int64).max)
+        assert after == probe.bit_generator.state
+        assert counters["sim.streaming.spawn_fallback"] == 1.0
+
     def test_chunk_periods_validated(self):
         catalog, frequencies = self.setup_world(n=10)
         sim = make_sim(catalog, frequencies, 1, "quiet")
@@ -307,29 +347,29 @@ class TestStableTimeArgsort:
     def test_small_inputs_fall_through(self):
         rng = np.random.default_rng(0)
         times = rng.uniform(0.0, 10.0, 1000)
-        assert np.array_equal(events_mod._stable_time_argsort(times),
+        assert np.array_equal(sorting.stable_time_argsort(times),
                               self.direct(times))
 
     def test_large_random_and_tie_heavy(self):
         rng = np.random.default_rng(1)
-        big = events_mod._BUCKET_SORT_MIN + 1017
+        big = sorting.BUCKET_SORT_MIN + 1017
         smooth = rng.uniform(0.0, 4.0, big)
         ties = rng.integers(0, 50, big).astype(float) / 16.0
         for times in (smooth, ties):
             assert np.array_equal(
-                events_mod._stable_time_argsort(times),
+                sorting.stable_time_argsort(times),
                 self.direct(times))
 
     def test_degenerate_all_equal(self):
-        times = np.full(events_mod._BUCKET_SORT_MIN + 3, 2.5)
-        assert np.array_equal(events_mod._stable_time_argsort(times),
+        times = np.full(sorting.BUCKET_SORT_MIN + 3, 2.5)
+        assert np.array_equal(sorting.stable_time_argsort(times),
                               np.arange(times.shape[0]))
 
     def test_nonfinite_falls_back(self):
         rng = np.random.default_rng(4)
-        times = rng.uniform(0.0, 1.0, events_mod._BUCKET_SORT_MIN + 5)
+        times = rng.uniform(0.0, 1.0, sorting.BUCKET_SORT_MIN + 5)
         times[::1000] = np.inf
-        assert np.array_equal(events_mod._stable_time_argsort(times),
+        assert np.array_equal(sorting.stable_time_argsort(times),
                               self.direct(times))
 
 
