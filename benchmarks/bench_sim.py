@@ -13,7 +13,9 @@ under a ``setrlimit`` address-space ceiling.  The parallel bench runs
 a 16-point burstiness sweep serially and through the process-pool
 executor and records the wall-clock ratio.  The regroup gate
 (``-k regroup``) is clock-free: it counts the events the replay's
-radix regroup permutes and the digit passes it makes.  All write
+radix regroup permutes and the digit passes it makes; so is the
+GE-scan gate (``-k ge_scan``), which counts the doubling passes of
+the Gilbert–Elliott chain scan per streaming slab.  All write
 machine-readable rows to ``benchmarks/results/BENCH_sim.json`` for
 CI's perf-smoke job to archive and diff.
 
@@ -31,6 +33,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +617,70 @@ def test_regroup_pass_count_gate():
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = _load_payload()
     payload["regroup"] = {"rows": rows}
+    _write_payload(payload)
+
+
+#: Catalog sizes of the GE-scan pass-count gate (elements).
+GE_SCAN_SIZES = (100_000, 1_000_000)
+#: Ceiling on GE-scan passes per one-period slab on the gate's
+#: catalog: its largest plan frequency is under 8 syncs per period.
+GE_SCAN_MAX_PASSES = 3
+
+
+def _ge_scan_row(n: int) -> dict:
+    """A telemetry-on GE run in one-period slabs; its scan passes
+    beside the passes each slab's sync schedule calls for."""
+    setup = ExperimentSetup(n_objects=n, updates_per_period=1.0 * n,
+                            syncs_per_period=0.3 * n, theta=1.0,
+                            update_std_dev=2.0)
+    catalog = build_catalog(setup, seed=0)
+    plan = PartitionedFreshener(n_partitions=64).plan(
+        catalog, setup.syncs_per_period)
+    n_periods = 2
+    sim = Simulation(catalog, plan.frequencies, request_rate=0.5 * n,
+                     rng=np.random.default_rng(1),
+                     fault_plan=FaultPlan.bursty(0.05, 0.4),
+                     bandwidth_budget=1e9,
+                     fault_rng=np.random.default_rng(2))
+    with obs.telemetry() as registry:
+        sim.run(float(n_periods), chunk_periods=1)
+    # Independent of the scan: the longest per-element run of each
+    # slab's syncs, read off the schedule itself.
+    expected = []
+    for slab in range(n_periods):
+        _, sync_elements = sim.schedule.events_between(
+            float(slab), float(slab + 1))
+        longest = int(np.bincount(sync_elements).max())
+        expected.append(math.ceil(math.log2(longest)))
+    passes = registry.histograms["faults.ge_scan.passes"]
+    return {
+        "n_elements": n,
+        "max_frequency": float(plan.frequencies.max()),
+        "expected_passes": expected,
+        "pass_counts": {int(bound): count for bound, count
+                        in zip(passes.buckets, passes.counts) if count},
+        "scan_calls": passes.count,
+        "scan_passes": int(passes.total),
+    }
+
+
+def test_ge_scan_pass_count_gate():
+    """Clock-free gate on the Gilbert–Elliott scan depth.
+
+    The retry-free GE resolver scans each slab's syncs once, in
+    ⌈log₂(longest per-element sync run)⌉ doubling passes: 3 on this
+    catalog, where a scan to the full slab length would make
+    ⌈log₂(m)⌉ = 17–19.  The histogram has one bucket per pass count,
+    so matching it to the per-slab expectation checks every slab."""
+    rows = [_ge_scan_row(n) for n in GE_SCAN_SIZES]
+    for row in rows:
+        assert row["scan_calls"] == len(row["expected_passes"]), row
+        assert row["pass_counts"] == Counter(row["expected_passes"]), row
+        assert max(row["expected_passes"]) <= GE_SCAN_MAX_PASSES, row
+    RESULTS_DIR.mkdir(exist_ok=True)
+    payload = _load_payload()
+    payload["ge_scan"] = {"rows": rows,
+                          "max_passes": GE_SCAN_MAX_PASSES}
     _write_payload(payload)
 
 

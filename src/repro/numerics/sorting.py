@@ -25,8 +25,9 @@ __all__ = ["BUCKET_SORT_MIN", "RADIX_DIGIT_BITS", "id_radix_passes",
 
 #: Below this many keys the two-pass bucket sort's extra gathers cost
 #: more than the timsort they shave off; fall back to a direct stable
-#: argsort.
-BUCKET_SORT_MIN = 1 << 17
+#: argsort.  On uniform random times (numpy 2.4, x86) the bucket sort
+#: is ~5x faster at 4,096 keys and breaks even near 1,000.
+BUCKET_SORT_MIN = 1 << 12
 
 #: Width of one radix digit: numpy radix-sorts integer keys up to
 #: this many bits.

@@ -23,15 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.numerics.sorting import stable_time_argsort
 
-__all__ = ["EventKind", "EventStream", "merge_kind_blocks",
-           "merge_sorted_blocks", "merge_streams"]
+__all__ = ["EventKind", "EventStream", "merge_sorted_blocks",
+           "merge_streams"]
 
 
 class EventKind(IntEnum):
@@ -118,17 +117,20 @@ def merge_sorted_blocks(update_times: np.ndarray,
                         access_elements: np.ndarray, *,
                         n_elements: int,
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge three already-sorted streams into one SoA tape, O(n).
+    """Merge three time-sorted event blocks into one SoA tape.
 
-    The streaming slab pipeline draws each stream pre-sorted (see
-    ``draw_window_sorted``), which turns the cross-kind merge into
-    position arithmetic: an event's final slot is its own stream rank
-    plus the number of events from the other two streams that land
-    before it, counted by ``searchsorted`` with sides chosen to
-    encode the update < sync < access same-instant priority.  Sorted
-    needles keep every search sequential and cache-resident, so the
-    merge costs a few O(n) passes instead of the full-tape stable
-    argsort :func:`merge_kind_blocks` pays.
+    The blocks are laid out in kind order [updates, syncs, accesses]
+    and ordered by one stable argsort of the times.  Numpy's stable
+    sort of float64 keys is timsort, which detects the three sorted
+    runs and merges them in O(n); at equal times stability keeps
+    block order, which is exactly the update < sync < access
+    same-instant priority.  Within a block, stability keeps the
+    input order, so the output is bit-identical to
+    :func:`merge_streams`'s lexsort over the same streams.
+
+    Callers holding raw (unsorted) draws sort each stream first with
+    :func:`~repro.numerics.sorting.stable_time_argsort`, the same
+    per-stream stable sort the :func:`merge_streams` route applies.
 
     Args:
         update_times: Sorted update instants.
@@ -146,104 +148,16 @@ def merge_sorted_blocks(update_times: np.ndarray,
     if n_elements >= np.iinfo(np.int32).max:
         raise ValidationError(
             "element ids must fit int32 (SoA tape layout)")
-    n_updates = update_times.shape[0]
-    n_syncs = sync_times.shape[0]
-    n_accesses = access_times.shape[0]
-    total = n_updates + n_syncs + n_accesses
-    # Rank within the merged tape: own-stream index, plus events from
-    # the other streams that apply strictly earlier.  "left" against
-    # a lower-priority stream counts strictly-smaller times only (at
-    # a tie this event goes first); "right" against a higher-priority
-    # stream also counts equal times (at a tie this event goes last).
-    update_slots = (np.arange(n_updates)
-                    + np.searchsorted(sync_times, update_times, "left")
-                    + np.searchsorted(access_times, update_times,
-                                      "left"))
-    sync_slots = (np.arange(n_syncs)
-                  + np.searchsorted(update_times, sync_times, "right")
-                  + np.searchsorted(access_times, sync_times, "left"))
-    access_slots = (np.arange(n_accesses)
-                    + np.searchsorted(update_times, access_times,
-                                      "right")
-                    + np.searchsorted(sync_times, access_times,
-                                      "right"))
-    times = np.empty(total)
-    elements = np.empty(total, dtype=np.int32)
-    kinds = np.empty(total, dtype=np.int8)
-    times[update_slots] = update_times
-    times[sync_slots] = sync_times
-    times[access_slots] = access_times
-    elements[update_slots] = update_elements
-    elements[sync_slots] = sync_elements
-    elements[access_slots] = access_elements
-    kinds[update_slots] = int(EventKind.UPDATE)
-    kinds[sync_slots] = int(EventKind.SYNC)
-    kinds[access_slots] = int(EventKind.ACCESS)
-    return times, elements, kinds
-
-
-def merge_kind_blocks(update_times: np.ndarray,
-                      update_elements: np.ndarray,
-                      sync_times: np.ndarray,
-                      sync_elements: np.ndarray,
-                      access_times: np.ndarray,
-                      access_elements: np.ndarray, *,
-                      n_elements: int,
-                      arena: Any = None,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fuse raw per-kind draws into one time-ordered SoA tape.
-
-    Replaces per-stream stable sorts + :func:`merge_streams`'s lexsort
-    with a single stable argsort over the kind-ordered concatenation
-    [updates, syncs, accesses].  The output is bit-identical to the
-    two-pass route: within a kind the stable sort preserves generation
-    order exactly as the per-stream sort did, and at cross-kind time
-    ties the block layout supplies the update < sync < access priority
-    the lexsort key encoded.  Update times may arrive unsorted (raw
-    Poisson draws); sync and access inputs are already time-sorted,
-    which the stable sort simply preserves.
-
-    Args:
-        update_times: Raw (unsorted) update instants.
-        update_elements: Update element ids, parallel to the times.
-        sync_times: Sorted sync instants.
-        sync_elements: Sync element ids.
-        access_times: Sorted access instants.
-        access_elements: Access element ids.
-        n_elements: Catalog size, for the int32 id-width check.
-        arena: Optional :class:`~repro.sim.fastpath.ReplayArena` whose
-            scratch buffers absorb the pre-sort concatenation; the
-            returned arrays are fresh allocations either way (the
-            sort gather allocates its own outputs).
-
-    Returns:
-        ``(times, elements, kinds)`` — float64 / int32 / int8 arrays
-        sorted by time with kind priority breaking ties.
-    """
-    if n_elements >= np.iinfo(np.int32).max:
-        raise ValidationError(
-            "element ids must fit int32 (SoA tape layout)")
-    n_updates = update_times.shape[0]
-    n_syncs = sync_times.shape[0]
-    n_accesses = access_times.shape[0]
-    total = n_updates + n_syncs + n_accesses
-    if arena is None:
-        times = np.empty(total)
-        elements = np.empty(total, dtype=np.int32)
-        kinds = np.empty(total, dtype=np.int8)
-    else:
-        times = arena.take("merge_times", total, np.float64)
-        elements = arena.take("merge_elements", total, np.int32)
-        kinds = arena.take("merge_kinds", total, np.int8)
-    bounds = (n_updates, n_updates + n_syncs, total)
-    times[:bounds[0]] = update_times
-    times[bounds[0]:bounds[1]] = sync_times
-    times[bounds[1]:] = access_times
-    elements[:bounds[0]] = update_elements
-    elements[bounds[0]:bounds[1]] = sync_elements
-    elements[bounds[1]:] = access_elements
-    kinds[:bounds[0]] = int(EventKind.UPDATE)
-    kinds[bounds[0]:bounds[1]] = int(EventKind.SYNC)
-    kinds[bounds[1]:] = int(EventKind.ACCESS)
-    order = stable_time_argsort(times)
+    # Per-call temporaries, not arena buffers: held in an arena they
+    # would stay resident through the slab's replay, which sets the
+    # streaming peak.
+    times = np.concatenate((update_times, sync_times, access_times),
+                           dtype=np.float64)
+    elements = np.concatenate(
+        (update_elements, sync_elements, access_elements),
+        dtype=np.int32, casting="unsafe")
+    kinds = np.repeat(np.array(list(EventKind), dtype=np.int8),
+                      (update_times.shape[0], sync_times.shape[0],
+                       access_times.shape[0]))
+    order = np.argsort(times, kind="stable")
     return times[order], elements[order], kinds[order]

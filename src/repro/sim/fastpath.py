@@ -848,6 +848,11 @@ def _build_trace(sync_times: np.ndarray, sync_elements: np.ndarray,
     return trace
 
 
+#: One ``faults.ge_scan.passes`` bucket per pass count: a scan over
+#: fewer than 2³¹ syncs makes at most 31 passes.
+_GE_SCAN_PASS_BUCKETS = tuple(float(count) for count in range(32))
+
+
 def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
                     flip_bad: np.ndarray, initial_bad: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -860,7 +865,14 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
     element-sorted sync sequence replaces the sequential walk.  Each
     per-sync function is encoded as the pair *(state-if-entered-good,
     state-if-entered-bad)*; composing ``g ∘ f`` routes ``g`` through
-    ``f``'s outputs with two ``np.where`` selects.
+    ``f``'s outputs with two ``np.where`` selects.  The scan stops
+    once its shift reaches the longest per-element run: past that,
+    no position has a predecessor inside its own segment and every
+    pass would compose the identity.  That is ⌈log₂(longest run)⌉
+    passes, not ⌈log₂(m)⌉; with telemetry on, the count is observed
+    as the ``faults.ge_scan.passes`` histogram, one bucket per count
+    (a histogram, not a counter, so the counter set stays identical
+    to the reference loop's).
 
     Args:
         sync_elements: Element index per sync, tape order.
@@ -882,9 +894,13 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
     out_if_good = flip_good[transition_at]
     out_if_bad = ~flip_bad[transition_at]
     new_segment, segment_start_of = _segment_starts(element_sorted)
+    segment_starts = np.flatnonzero(new_segment)
+    segment_ends = np.append(segment_starts[1:] - 1, m - 1)
+    longest = int((segment_ends - segment_starts).max()) + 1
     positions = np.arange(m, dtype=np.int64)
     shift = 1
-    while shift < m:
+    passes = 0
+    while shift < longest:
         # Compose each position's aggregate with the aggregate
         # `shift` places back (when still inside the same segment):
         # new = current ∘ previous.
@@ -903,11 +919,13 @@ def _ge_scan_states(sync_elements: np.ndarray, flip_good: np.ndarray,
             out_if_bad)
         out_if_good, out_if_bad = composed_good, composed_bad
         shift <<= 1
+        passes += 1
+    if obs.telemetry_enabled():
+        obs.observe("faults.ge_scan.passes", passes,
+                    _GE_SCAN_PASS_BUCKETS)
     state_after = np.where(initial_bad[element_sorted],
                            out_if_bad, out_if_good)
     final_bad = initial_bad.copy()
-    segment_starts = np.flatnonzero(new_segment)
-    segment_ends = np.append(segment_starts[1:] - 1, m - 1)
     final_bad[element_sorted[segment_ends]] = state_after[segment_ends]
     return order, state_after, final_bad
 

@@ -14,8 +14,9 @@ Both also expose a raw ``draw_window(start, end)`` primitive for the
 streaming slab pipeline: it performs exactly the draws ``generate``
 would for a window of the same length (Poisson counts, then uniform
 instants, then — for requests — one uniform per element pick), but
-returns plain arrays without the per-stream sort so the caller can
-fuse the cross-kind merge into a single stable argsort.  Element
+returns plain arrays instead of an ``EventStream``: the caller
+stable-sorts the update times and run-merges the three kinds in one
+pass (:func:`~repro.sim.events.merge_sorted_blocks`).  Element
 picks use precomputed-CDF ``searchsorted`` sampling, which consumes
 the identical ``rng.random`` variates ``rng.choice(p=...)`` would and
 returns the identical indices — verified bit-for-bit — while hoisting

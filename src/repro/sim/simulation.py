@@ -31,11 +31,11 @@ from repro.faults.channel import SyncChannel
 from repro.faults.model import FaultPlan, PollOutcome
 from repro.faults.retry import RetryPolicy
 from repro.faults.topology import Topology
+from repro.numerics.sorting import stable_time_argsort
 from repro.obs import registry as obs
 from repro.sim.events import (
     EventKind,
     EventStream,
-    merge_kind_blocks,
     merge_sorted_blocks,
     merge_streams,
 )
@@ -53,6 +53,13 @@ from repro.sim.source import Source
 from repro.workloads.catalog import Catalog
 
 __all__ = ["Simulation"]
+
+
+def _time_sorted(times: np.ndarray, elements: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Stable time sort of one raw (unsorted) draw stream."""
+    order = stable_time_argsort(times)
+    return times[order], elements[order]
 
 
 class _PeriodTracker:
@@ -277,9 +284,10 @@ class Simulation:
 
         Args:
             n_periods: Number of periods the tape covers, > 0.
-            fused: Use the fused single-argsort merge over raw
-                ``draw_window`` pulls (bit-identical output and rng
-                consumption, roughly half the generation time).
+            fused: Sort the raw ``draw_window`` update pull, then
+                run-merge it with the sorted sync and request streams
+                (bit-identical output and rng consumption, roughly
+                half the generation time).
                 Falls back to the per-stream sort +
                 :func:`~repro.sim.events.merge_streams` route
                 automatically for custom update generators that lack
@@ -292,12 +300,13 @@ class Simulation:
         horizon = n_periods * self._period_length
         draw_window = getattr(self._updates, "draw_window", None)
         if fused and draw_window is not None:
-            update_times, update_elements = draw_window(0.0, horizon)
+            update_times, update_elements = _time_sorted(
+                *draw_window(0.0, horizon))
             sync_times, sync_elements = \
                 self._schedule.events_until(horizon)
             access_times, access_elements = \
                 self._requests.draw_window(0.0, horizon)
-            return merge_kind_blocks(
+            return merge_sorted_blocks(
                 update_times, update_elements,
                 sync_times, sync_elements,
                 access_times, access_elements,
@@ -697,13 +706,14 @@ class Simulation:
         Each slab draws its own events from an ``rng.spawn`` child
         (canonical chunked draw order: sorted update window, sync
         schedule window, sorted request window), merges the three
-        pre-sorted streams in O(slab) position arithmetic — no
-        argsort anywhere on the slab path — and feeds them to the
-        :class:`~repro.sim.fastpath.StreamingReplay` carry kernel.
-        Peak memory is the carry state plus one slab's tape.
-        Generators lacking ``draw_window_sorted`` (custom update
-        processes exposing only the raw ``draw_window`` primitive)
-        fall back to unsorted draws fused by one stable argsort.
+        pre-sorted streams with one O(slab) stable run-merge
+        (:func:`~repro.sim.events.merge_sorted_blocks`) and feeds
+        them to the :class:`~repro.sim.fastpath.StreamingReplay`
+        carry kernel.  Peak memory is the carry state plus one slab's
+        tape.  Generators lacking ``draw_window_sorted`` (custom
+        update processes exposing only the raw ``draw_window``
+        primitive) fall back to unsorted update draws, stable-sorted
+        by time before the merge.
 
         A workload rng that cannot ``spawn`` (a bit generator built
         on a seed sequence without spawning support) gets its slab
@@ -774,24 +784,19 @@ class Simulation:
                     access_times, access_elements = \
                         self._requests.draw_window_sorted(
                             start, end, rng=child, arena=arena)
-                    times, elements, kinds = merge_sorted_blocks(
-                        update_times, update_elements,
-                        sync_times, sync_elements,
-                        access_times, access_elements,
-                        n_elements=n_elements)
                 else:
-                    update_times, update_elements = \
-                        self._updates.draw_window(start, end,
-                                                  rng=child,
-                                                  arena=arena)
+                    update_times, update_elements = _time_sorted(
+                        *self._updates.draw_window(start, end,
+                                                   rng=child,
+                                                   arena=arena))
                     access_times, access_elements = \
                         self._requests.draw_window(start, end,
                                                    rng=child)
-                    times, elements, kinds = merge_kind_blocks(
-                        update_times, update_elements,
-                        sync_times, sync_elements,
-                        access_times, access_elements,
-                        n_elements=n_elements, arena=arena)
+                times, elements, kinds = merge_sorted_blocks(
+                    update_times, update_elements,
+                    sync_times, sync_elements,
+                    access_times, access_elements,
+                    n_elements=n_elements)
             with obs.span("sim.run"):
                 streaming.feed(times, elements, kinds,
                                n_periods=last - first)

@@ -26,7 +26,7 @@ from repro.faults.model import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.numerics import sorting
 from repro.obs import registry as obs
-from repro.sim.events import merge_kind_blocks, merge_sorted_blocks
+from repro.sim.events import EventKind, merge_sorted_blocks
 from repro.sim.fastpath import ReplayArena, ReplayCarry, StreamingReplay
 from repro.sim.generators import RequestGenerator, UpdateGenerator
 from repro.sim.simulation import Simulation, SimulationResult
@@ -373,31 +373,113 @@ class TestStableTimeArgsort:
                               self.direct(times))
 
 
+def lexsort_merge(updates, syncs, accesses):
+    """Independent oracle: lexsort (kind, time) over the kind-ordered
+    concatenation [updates, syncs, accesses]."""
+    blocks = (updates, syncs, accesses)
+    times = np.concatenate([block[0] for block in blocks])
+    elements = np.concatenate([block[1] for block in blocks])
+    kinds = np.concatenate([
+        np.full(block[0].shape[0], int(kind), dtype=np.int8)
+        for block, kind in zip(blocks, EventKind)])
+    order = np.lexsort((kinds, times))
+    return times[order], elements[order].astype(np.int32), kinds[order]
+
+
+def assert_tapes_equal(got, want, label=""):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype, label
+        assert np.array_equal(a, b), label
+
+
+def sorted_block(rng, count, n, grid=12):
+    times = np.sort(rng.integers(0, grid, count).astype(float) / 4.0)
+    return times, rng.integers(0, n, count).astype(np.int64)
+
+
 class TestMergeSortedBlocks:
-    def test_matches_merge_kind_blocks(self):
-        """Position-arithmetic merge of three pre-sorted streams ≡
-        the argsort merge, across tie-heavy random tapes (grid times
-        force cross-kind ties, exercising the update < sync < access
-        priority)."""
+    """The run-merge of three time-sorted blocks ≡ a lexsort oracle."""
+
+    def test_matches_lexsort_oracle(self):
+        """Tie-heavy random tapes (grid times force cross-kind ties,
+        exercising the update < sync < access priority)."""
         rng = np.random.default_rng(6)
         for trial in range(60):
             n = int(rng.integers(2, 20))
+            blocks = [sorted_block(rng, int(rng.integers(0, 30)), n)
+                      for _ in range(3)]
+            flat = [array for block in blocks for array in block]
+            assert_tapes_equal(merge_sorted_blocks(*flat, n_elements=n),
+                               lexsort_merge(*blocks), trial)
 
-            def stream(count):
-                times = np.sort(
-                    rng.integers(0, 12, count).astype(float) / 4.0)
-                elements = rng.integers(0, n, count)
-                return times, elements.astype(np.int64)
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_one_empty_block(self, empty):
+        rng = np.random.default_rng(11 + empty)
+        blocks = [sorted_block(rng, 25, 7) for _ in range(3)]
+        blocks[empty] = (np.empty(0), np.empty(0, dtype=np.int64))
+        flat = [array for block in blocks for array in block]
+        assert_tapes_equal(merge_sorted_blocks(*flat, n_elements=7),
+                           lexsort_merge(*blocks))
 
-            updates = stream(int(rng.integers(0, 30)))
-            syncs = stream(int(rng.integers(0, 30)))
-            accesses = stream(int(rng.integers(0, 30)))
-            got = merge_sorted_blocks(*updates, *syncs, *accesses,
-                                      n_elements=n)
-            want = merge_kind_blocks(*updates, *syncs, *accesses,
-                                     n_elements=n)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b), trial
+    def test_all_blocks_empty(self):
+        empty = (np.empty(0), np.empty(0, dtype=np.int64))
+        times, elements, kinds = merge_sorted_blocks(
+            *empty, *empty, *empty, n_elements=3)
+        assert times.shape == elements.shape == kinds.shape == (0,)
+        assert (times.dtype, elements.dtype, kinds.dtype) == (
+            np.float64, np.int32, np.int8)
+
+    def test_every_event_at_one_instant(self):
+        """One timestamp everywhere: the tape is the kind-ordered
+        concatenation itself, every block in its input order."""
+        rng = np.random.default_rng(13)
+        blocks = [(np.full(count, 1.5),
+                   rng.integers(0, 9, count).astype(np.int64))
+                  for count in (17, 5, 11)]
+        flat = [array for block in blocks for array in block]
+        got = merge_sorted_blocks(*flat, n_elements=9)
+        assert_tapes_equal(got, lexsort_merge(*blocks))
+        assert np.array_equal(
+            got[1], np.concatenate([b[1] for b in blocks]))
+        assert np.array_equal(got[2], np.repeat([0, 1, 2], [17, 5, 11]))
+
+    def test_length_one_blocks(self):
+        for times in ((1.0, 1.0, 1.0), (2.0, 1.0, 0.0), (0.0, 1.0, 2.0),
+                      (1.0, 0.0, 1.0)):
+            blocks = [(np.array([t]), np.array([k], dtype=np.int64))
+                      for k, t in enumerate(times)]
+            flat = [array for block in blocks for array in block]
+            assert_tapes_equal(merge_sorted_blocks(*flat, n_elements=3),
+                               lexsort_merge(*blocks), times)
+
+    def test_one_shot_route_sorts_raw_updates(self):
+        """Raw (unsorted, tie-heavy) update draws, stable-sorted per
+        stream and then run-merged, equal the oracle over the raw
+        concatenation — the one-shot tape stays bit-identical."""
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            n = int(rng.integers(2, 20))
+            raw_count = int(rng.integers(0, 40))
+            raw = (rng.integers(0, 12, raw_count).astype(float) / 4.0,
+                   rng.integers(0, n, raw_count).astype(np.int64))
+            syncs = sorted_block(rng, int(rng.integers(0, 30)), n)
+            accesses = sorted_block(rng, int(rng.integers(0, 30)), n)
+            order = sorting.stable_time_argsort(raw[0])
+            got = merge_sorted_blocks(raw[0][order], raw[1][order],
+                                      *syncs, *accesses, n_elements=n)
+            assert_tapes_equal(got, lexsort_merge(raw, syncs, accesses),
+                               trial)
+
+    @pytest.mark.parametrize("n_periods", [0.75, 3.0])
+    def test_build_tape_matches_merge_streams(self, n_periods):
+        """``build_tape``'s fused route against the per-stream sort +
+        lexsort route, from identically seeded simulations."""
+        catalog = random_catalog(np.random.default_rng(19), 40)
+        frequencies = np.full(40, 2.0)
+        tapes = [make_sim(catalog, frequencies, 23, "quiet").build_tape(
+                     n_periods, fused=fused) for fused in (True, False)]
+        assert tapes[0][0].shape[0] > 0
+        assert_tapes_equal(*tapes)
 
 
 class TestSortedDraws:
